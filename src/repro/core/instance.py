@@ -303,6 +303,23 @@ class Instance:
         return float(np.min(self.times_matrix))
 
     @cached_property
+    def min_times(self) -> np.ndarray:
+        """``(n,)`` vector of each task's :attr:`MoldableTask.min_time`.
+
+        The minimum runs over the task's *full* vector: an object-backed
+        task described beyond ``m`` processors keeps its fastest time even
+        though :attr:`times_matrix` truncates it.  For every other task it
+        is the row minimum of the matrix.
+        """
+        out = np.min(self.times_matrix, axis=1)
+        if self._tasks is not None:
+            for row, task in enumerate(self._tasks):
+                if task.max_procs > self.m:
+                    out[row] = task.min_time
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def max_min_time(self) -> float:
         """``max_i min_k p_i(k)`` — no schedule can finish before this."""
         return float(np.max(np.min(self.times_matrix, axis=1)))

@@ -10,7 +10,13 @@ in 2004:
 * jobs are *rigidified* first (:func:`rigidify`) — FCFS queues ignore
   moldability, the user's fixed request is simulated by picking each
   task's minimal-area allotment under a deadline heuristic;
-* jobs start in submission order whenever enough processors are free;
+* jobs are placed in submission order, each at the earliest time enough
+  processors stay free for its whole duration around the jobs placed
+  before it.  A later job may therefore start *before* an earlier one, in
+  a hole the earlier one could not use.  The on-line ``fcfs`` policy
+  (:class:`~repro.simulator.online.FcfsOnlinePolicy`) never does that: it
+  starts only the queue head, so the two differ even when every job is
+  released at time 0;
 * **EASY backfilling**: when the queue head does not fit, a reservation
   is computed for it (the earliest time enough processors will be free),
   and later jobs may jump ahead *only if* they terminate before that
@@ -21,13 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.allotment import minimal_area_allotment
+import numpy as np
+
 from repro.core.instance import Instance
 from repro.core.profile import FreeProfile
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
 
 __all__ = ["rigidify", "FcfsBackfillScheduler"]
+
+#: Rows of the time matrix :func:`rigidify` processes per numpy pass.  Its
+#: temporaries stay O(block x m) rather than the size of the whole
+#: ``(n, m)`` matrix, which would raise the peak memory of an archive
+#: replay for no speed gain.
+RIGIDIFY_BLOCK_ROWS = 1024
 
 
 def rigidify(instance: Instance, *, slack: float = 2.0) -> dict[int, int]:
@@ -38,17 +51,42 @@ def rigidify(instance: Instance, *, slack: float = 2.0) -> dict[int, int]:
     meets the deadline ``slack * (fastest duration)`` — frugal in work,
     as a user paying for node-hours would be, but not pathologically
     sequential.
+
+    Per task this is :func:`~repro.core.allotment.minimal_area_allotment`
+    at the deadline ``slack * task.min_time`` (the fastest time over the
+    task's full vector, which may extend past ``m``), first ``k`` on area
+    ties.  All tasks are solved at once from
+    :attr:`Instance.times_matrix`, in blocks of
+    :data:`RIGIDIFY_BLOCK_ROWS` rows, with the same float products and
+    comparisons, so the allotments are identical.  Returns ``{task_id:
+    k}`` in instance order.
+
+    Raises
+    ------
+    ValueError
+        If ``slack`` is not ``>= 1`` (NaN included).
+    SchedulingError
+        If a task's fastest time needs more than ``m`` processors and no
+        allotment within ``m`` meets the deadline.
     """
-    if slack < 1.0:
+    if not slack >= 1.0:
         raise ValueError(f"slack must be >= 1, got {slack}")
-    allotments: dict[int, int] = {}
-    for task in instance:
-        deadline = task.min_time * slack
-        best = minimal_area_allotment(task, deadline, m=instance.m)
-        if best is None:  # pragma: no cover - min_time*slack always feasible
-            raise SchedulingError(f"task {task.task_id} cannot meet its own deadline")
-        allotments[task.task_id] = best[0]
-    return allotments
+    times = instance.times_matrix
+    n, m = times.shape
+    deadlines = instance.min_times * slack
+    ks = np.arange(1, m + 1, dtype=np.float64)
+    allot = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, RIGIDIFY_BLOCK_ROWS):
+        hi = lo + RIGIDIFY_BLOCK_ROWS
+        block = times[lo:hi]
+        feasible = block <= deadlines[lo:hi, None]
+        met = feasible.any(axis=1)
+        if not met.all():
+            task_id = instance.task_ids[lo + int(np.argmin(met))]
+            raise SchedulingError(f"task {task_id} cannot meet its own deadline")
+        areas = np.where(feasible, block * ks, np.inf)
+        allot[lo:hi] = areas.argmin(axis=1) + 1
+    return dict(zip(instance.task_ids.tolist(), allot.tolist()))
 
 
 @dataclass
@@ -65,10 +103,14 @@ class FcfsBackfillScheduler:
     ----------
     backfill:
         ``True`` enables EASY backfilling (the MAUI-style improvement);
-        ``False`` is pure FCFS (a later job never starts before an earlier
-        one *starts*).
+        ``False`` places each job, in submission order, at its earliest
+        fit in the free-processor profile of the jobs placed before it.
+        A later job can then start before an earlier one, in a hole the
+        earlier one was too wide for; the on-line ``fcfs`` policy
+        (:class:`~repro.simulator.online.FcfsOnlinePolicy`) never starts a
+        later job first.
     slack:
-        Passed to :func:`rigidify`.
+        Passed to :func:`rigidify`; must be ``>= 1``.
 
     Submission order is task-id order (the §4.1 generators assign ids in
     generation order, which stands in for arrival order in the off-line
@@ -76,6 +118,8 @@ class FcfsBackfillScheduler:
     """
 
     def __init__(self, backfill: bool = True, slack: float = 2.0) -> None:
+        if not slack >= 1.0:
+            raise ValueError(f"slack must be >= 1, got {slack}")
         self.backfill = backfill
         self.slack = slack
         self.name = "FCFS+EASY" if backfill else "FCFS"

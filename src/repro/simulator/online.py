@@ -365,6 +365,8 @@ class FcfsOnlinePolicy(OnlinePolicy):
     """
 
     def __init__(self, backfill: bool = True, slack: float = 2.0) -> None:
+        if not slack >= 1.0:
+            raise ValueError(f"slack must be >= 1, got {slack}")
         self.backfill = bool(backfill)
         self.slack = float(slack)
         self.name = "fcfs-backfill" if backfill else "fcfs"
@@ -384,9 +386,13 @@ class FcfsOnlinePolicy(OnlinePolicy):
         if instance.n == 0:
             return OnlineResult(out, (), ())
 
+        n = instance.n
         allot = rigidify(instance, slack=self.slack)
         task_of = instance.task_by_id
-        durations = {tid: task_of(tid).p(k) for tid, k in allot.items()}
+        ks = np.fromiter(allot.values(), dtype=np.int64, count=n)
+        durations = dict(
+            zip(allot, instance.times_matrix[np.arange(n), ks - 1].tolist())
+        )
 
         # FINISH transitions free processors before simultaneous ARRIVALs
         # enqueue; each window dispatches once.  The waiting queue is a

@@ -15,6 +15,10 @@ compared with ``==`` by the regression suites:
   masks and quality indicators of a frozen trade-off sweep (DEMT knob
   deviations + registry algorithms) on synthetic cells and one trace
   window (``tests/pareto/test_golden_pareto.py``).
+* ``fcfs_replay_goldens.json`` — on-line FCFS and EASY-backfill replays
+  of every moldability model on the SWF fixtures: makespan, weighted flow
+  and a sha256 over each schedule's placements
+  (``tests/integration/test_trace_replay.py``).
 
 Regenerate ONLY when an intentional behavioral change is made (and say so
 in the commit message):
@@ -24,6 +28,7 @@ in the commit message):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -117,6 +122,54 @@ def trace_golden_cells() -> list[dict]:
                     "makespan": r.makespan,
                     "weighted_flow": r.weighted_flow,
                     "batches": r.n_batches,
+                }
+            )
+    return cells
+
+
+FCFS_GOLDEN_PATH = Path(__file__).with_name("fcfs_replay_goldens.json")
+
+#: The immediate on-line FCFS policies; the batch and clairvoyant modes are
+#: pinned by ``trace_replay_goldens.json``.
+FCFS_MODES = ("fcfs", "fcfs-backfill")
+
+
+def schedule_sha256(schedule) -> str:
+    """sha256 over the ``repr`` of every placement's
+    ``(task_id, start, allotment, end)``, in task-id order."""
+    h = hashlib.sha256()
+    for row in sorted((p.task.task_id, p.start, p.allotment, p.end) for p in schedule):
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def fcfs_replay_golden_cells() -> list[dict]:
+    from repro.experiments.replay import replay_trace
+    from repro.simulator.online import get_policy
+    from repro.workloads.trace import MOLDABILITY_MODELS, load_trace, trace_instance
+
+    cells = []
+    for name, (_kwargs, m) in TRACE_FIXTURES.items():
+        trace = load_trace(TRACES_DIR / name)
+        results = replay_trace(
+            trace, m=m, models=list(MOLDABILITY_MODELS), modes=FCFS_MODES,
+            validate=True,
+        )
+        for r in results:
+            inst = trace_instance(trace, m, r.model, online=True)
+            schedule = get_policy(r.mode).run(inst).schedule
+            cells.append(
+                {
+                    "fixture": name,
+                    "digest": trace.digest,
+                    "m": m,
+                    "model": r.model,
+                    "mode": r.mode,
+                    "n_jobs": r.n_jobs,
+                    "makespan": r.makespan,
+                    "weighted_flow": r.weighted_flow,
+                    "schedule_sha256": schedule_sha256(schedule),
                 }
             )
     return cells
@@ -332,6 +385,21 @@ def main() -> None:
     }
     TRACE_GOLDEN_PATH.write_text(json.dumps(trace_payload, indent=1) + "\n")
     print(f"wrote {len(trace_payload['cells'])} replay cells to {TRACE_GOLDEN_PATH}")
+
+    fcfs_payload = {
+        "_meta": {
+            "comment": (
+                "Bit-exact on-line FCFS and EASY-backfill replays on the "
+                "frozen fixtures under tests/data/traces/: aggregates plus a "
+                "sha256 over each schedule's (task_id, start, allotment, end) "
+                "reprs; regenerate with tests/data/make_goldens.py only for "
+                "intentional changes."
+            ),
+        },
+        "cells": fcfs_replay_golden_cells(),
+    }
+    FCFS_GOLDEN_PATH.write_text(json.dumps(fcfs_payload, indent=1) + "\n")
+    print(f"wrote {len(fcfs_payload['cells'])} FCFS replay cells to {FCFS_GOLDEN_PATH}")
 
     online_payload = {
         "_meta": {

@@ -5,6 +5,9 @@ Pins, on the frozen SWF fixtures under ``tests/data/traces/``:
 * **Goldens** — replay aggregates (makespan, weighted flow, batch count)
   of every moldability model, batch and clairvoyant modes, compared with
   ``==`` against ``tests/data/trace_replay_goldens.json``;
+* **FCFS goldens** — makespan, weighted flow and a schedule digest of
+  the on-line ``fcfs`` and ``fcfs-backfill`` replays of every model,
+  compared with ``==`` against ``tests/data/fcfs_replay_goldens.json``;
 * **Backend interchangeability** — serial and process backends produce
   bit-identical aggregates;
 * **Anchoring** — every model reproduces the logged ``(procs, run)``
@@ -22,6 +25,7 @@ Regenerate the goldens only for intentional changes:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,15 +34,18 @@ import pytest
 
 from repro.algorithms.demt import schedule_demt
 from repro.experiments.replay import replay_trace
+from repro.simulator.online import get_policy
 from repro.workloads.trace import (
     MOLDABILITY_MODELS,
     load_trace,
     reconstruct_times,
+    trace_instance,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 TRACES = DATA / "traces"
 GOLDENS = json.loads((DATA / "trace_replay_goldens.json").read_text())["cells"]
+FCFS_GOLDENS = json.loads((DATA / "fcfs_replay_goldens.json").read_text())["cells"]
 
 #: fixture name -> replay machine size, recovered from the golden file so
 #: the test cannot drift from the regeneration script.
@@ -57,7 +64,7 @@ def traces():
 class TestGoldenCorpus:
     def test_fixture_digests_match_goldens(self, traces):
         """The checked-in SWF files are the ones the goldens were made from."""
-        for c in GOLDENS:
+        for c in GOLDENS + FCFS_GOLDENS:
             assert traces[c["fixture"]].digest == c["digest"], c["fixture"]
 
     @pytest.mark.parametrize("fixture", list(dict.fromkeys(FIXTURE_M)))
@@ -118,6 +125,56 @@ class TestGoldenCorpus:
         assert [(r.makespan, r.weighted_flow, r.n_batches) for r in first] == [
             (r.makespan, r.weighted_flow, r.n_batches) for r in second
         ]
+
+
+def _schedule_sha256(schedule) -> str:
+    """sha256 over the ``repr`` of every placement's
+    ``(task_id, start, allotment, end)``, in task-id order (the digest of
+    ``make_goldens.py``)."""
+    h = hashlib.sha256()
+    for row in sorted((p.task.task_id, p.start, p.allotment, p.end) for p in schedule):
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestFcfsGoldenCorpus:
+    """The immediate on-line FCFS and EASY-backfill replays, pinned
+    placement for placement."""
+
+    def test_corpus_covers_every_fixture_model_and_mode(self):
+        got = {(c["fixture"], c["model"], c["mode"]) for c in FCFS_GOLDENS}
+        assert got == {
+            (f, model, mode)
+            for f in FIXTURE_M
+            for model in MOLDABILITY_MODELS
+            for mode in ("fcfs", "fcfs-backfill")
+        }
+
+    @pytest.mark.parametrize("fixture", list(dict.fromkeys(FIXTURE_M)))
+    def test_replay_reproduces_goldens_bit_for_bit(self, traces, fixture):
+        trace = traces[fixture]
+        m = FIXTURE_M[fixture]
+        results = replay_trace(
+            trace,
+            m=m,
+            models=list(MOLDABILITY_MODELS),
+            modes=("fcfs", "fcfs-backfill"),
+            validate=True,
+        )
+        got = {}
+        for r in results:
+            inst = trace_instance(trace, m, r.model, online=True)
+            schedule = get_policy(r.mode).run(inst).schedule
+            got[(fixture, r.model, r.mode)] = (
+                r.makespan, r.weighted_flow, _schedule_sha256(schedule)
+            )
+        want = {
+            _golden_key(c): (c["makespan"], c["weighted_flow"], c["schedule_sha256"])
+            for c in FCFS_GOLDENS
+            if c["fixture"] == fixture
+        }
+        assert got == want  # full-precision equality, no approx
 
 
 class TestAnchoring:

@@ -210,6 +210,12 @@ class TestPolicyRegistry:
         assert get_policy("fcfs").name == "fcfs"
         assert get_policy("fcfs-backfill").name == "fcfs-backfill"
 
+    @pytest.mark.parametrize("name", ["fcfs", "fcfs-backfill"])
+    @pytest.mark.parametrize("slack", [0.5, float("nan")])
+    def test_fcfs_invalid_slack_rejected_at_construction(self, name, slack):
+        with pytest.raises(ValueError, match="slack must be >= 1"):
+            get_policy(name, slack=slack)
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown on-line policy"):
             get_policy("nope")
