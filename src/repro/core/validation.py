@@ -5,8 +5,9 @@ Every algorithm's test suite runs its output through
 
 1. every task of the instance is scheduled exactly once;
 2. allotments are integers in ``[1, m]`` with a finite processing time;
-3. start times are non-negative and respect release dates;
-4. at every instant the total allotment of running tasks is ``<= m``
+3. every duration is exactly the task's ``p_i(k)`` at its allotment ``k``;
+4. start times are non-negative and respect release dates;
+5. at every instant the total allotment of running tasks is ``<= m``
    (count-feasibility, which for identical processors without contiguity
    implies an explicit processor assignment exists — see
    :mod:`repro.core.schedule`).
@@ -79,6 +80,11 @@ def validate_schedule(
         if not np.isfinite(p.duration):
             raise InvalidScheduleError(
                 f"task {p.task.task_id}: infinite duration for allotment {p.allotment}"
+            )
+        if p.duration != p.task.p(p.allotment):
+            raise InvalidScheduleError(
+                f"task {p.task.task_id}: duration {p.duration} on {p.allotment} "
+                f"processors, but p({p.allotment}) = {p.task.p(p.allotment)}"
             )
         if p.start < -TIME_EPS:
             raise InvalidScheduleError(

@@ -1,20 +1,48 @@
-"""Unit + property tests for the LP-relaxation minsum lower bound."""
+"""Unit + property tests for the LP-relaxation minsum lower bound.
+
+Besides the bound's own properties, two checks pin its assembly:
+
+* **Goldens** — value, interval boundaries and a sha256 over the model
+  handed to the solver, on a frozen corpus, compared with ``==`` against
+  ``tests/data/minsum_lp_goldens.json``;
+* **Reference assembly** — the per-entry loop assembler the columnar one
+  replaced is kept below as an oracle; the captured ``c``, ``b_ub`` and
+  CSR arrays must equal it exactly.
+
+Regenerate the goldens only for intentional changes:
+``PYTHONPATH=src python tests/data/make_goldens.py``.
+"""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+import repro.bounds.minsum_lp as minsum_lp
 from repro.algorithms.demt import schedule_demt
 from repro.algorithms.dual_approx import dual_approximation
 from repro.bounds.minsum_lp import build_time_grid, minsum_lower_bound
+from repro.core.allotment import minimal_area_allotments
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask
+from repro.utils.rng import derive_rng
 from repro.workloads.generator import generate_workload
+from repro.workloads.trace import MOLDABILITY_MODELS, load_trace, trace_instance
 
 from tests.conftest import make_instance
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+GOLDEN_DOC = json.loads((DATA / "minsum_lp_goldens.json").read_text())
+GOLDENS = GOLDEN_DOC["cells"]
+FAMILIES = ("weakly_parallel", "highly_parallel", "mixed", "cirne")
 
 
 class TestTimeGrid:
@@ -135,3 +163,221 @@ class TestMinsumBound:
         exact = exact_reference(inst)
         ilp = minsum_lower_bound(inst, integral=True).value
         assert ilp <= exact.minsum + 1e-6
+
+
+@pytest.fixture
+def solved_models(monkeypatch):
+    """Record every model handed to ``linprog``/``milp`` as ``(c, A, b_ub)``
+    (A in CSR form), forwarding to the real solver."""
+    models: list[tuple] = []
+    real_linprog, real_milp = minsum_lp.linprog, minsum_lp.milp
+
+    def linprog(c, **kwargs):
+        models.append((c, sparse.csr_matrix(kwargs["A_ub"]), kwargs["b_ub"]))
+        return real_linprog(c, **kwargs)
+
+    def milp(c, **kwargs):
+        cons = kwargs["constraints"]
+        models.append((c, sparse.csr_matrix(cons.A), cons.ub))
+        return real_milp(c, **kwargs)
+
+    monkeypatch.setattr(minsum_lp, "linprog", linprog)
+    monkeypatch.setattr(minsum_lp, "milp", milp)
+    return models
+
+
+def _model_sha256(c, A, b_ub) -> str:
+    """The model digest of ``make_goldens.py``: ``c``, ``b_ub`` and the CSR
+    arrays, index arrays as int64."""
+    h = hashlib.sha256()
+    for arr in (
+        c,
+        b_ub,
+        A.indptr.astype(np.int64),
+        A.indices.astype(np.int64),
+        A.data,
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _golden_instance(cell: dict) -> Instance:
+    if cell["model"] is None:
+        kind, n, m = cell["source"], cell["n"], cell["m"]
+        seed = derive_rng(GOLDEN_DOC["_meta"]["seed"], "minsum_lp", kind, n, m)
+        return generate_workload(kind, n=n, m=m, seed=seed)
+    trace = load_trace(DATA / "traces" / cell["source"])
+    return trace_instance(trace, cell["m"], cell["model"], online=False)
+
+
+class TestGoldenCorpus:
+    def test_corpus_covers_families_fixtures_and_ilp(self):
+        synthetic = {
+            (c["source"], c["n"], c["m"], c["integral"])
+            for c in GOLDENS
+            if c["model"] is None
+        }
+        assert synthetic == (
+            {(k, n, 200, False) for k in FAMILIES for n in (25, 100, 400)}
+            | {("mixed", n, 64, False) for n in (200, 400)}
+            | {(k, 10, 8, True) for k in FAMILIES}
+        )
+        traced = {(c["source"], c["model"]) for c in GOLDENS if c["model"]}
+        assert traced == {
+            (f.name, model)
+            for f in (DATA / "traces").glob("*.swf")
+            for model in MOLDABILITY_MODELS
+        }
+
+    @pytest.mark.parametrize(
+        "cell",
+        GOLDENS,
+        ids=[
+            f"{c['source']}-{c['model'] or 'gen'}-n{c['n']}-m{c['m']}"
+            + ("-ilp" if c["integral"] else "")
+            for c in GOLDENS
+        ],
+    )
+    def test_bound_and_model_reproduce_goldens(self, cell, solved_models):
+        inst = _golden_instance(cell)
+        assert inst.n == cell["n"]
+        lam = dual_approximation(inst).lam
+        res = minsum_lower_bound(inst, lam, integral=cell["integral"])
+        (model,) = solved_models
+        got = (res.value, res.boundaries.tolist(), _model_sha256(*model))
+        # Full-precision equality, no approx.
+        assert got == (cell["value"], cell["boundaries"], cell["model_sha256"])
+
+
+def _loop_model(instance: Instance, cmax_estimate: float):
+    """The per-entry loop assembly the columnar one replaced, kept as the
+    oracle: ``(c, A, b_ub)`` with ``A`` in CSR form."""
+    grid = build_time_grid(instance, cmax_estimate)
+    b = np.concatenate([[0.0], grid])
+    J = b.size
+    n, m = instance.n, instance.m
+    tm = instance.times_matrix
+    weights = instance.weights
+
+    S = np.empty((n, J))
+    fastest = np.empty((n, J))
+    for j in range(J - 1):
+        S[:, j] = minimal_area_allotments(tm, b[j + 1])
+        fastest[:, j] = np.where(tm <= b[j + 1], tm, np.inf).min(axis=1)
+    ks = np.arange(1, m + 1, dtype=np.float64)
+    S[:, J - 1] = (tm * ks).min(axis=1)
+    fastest[:, J - 1] = tm.min(axis=1)
+
+    allowed = np.isfinite(S)
+    var_index = -np.ones((n, J), dtype=np.int64)
+    flat_allowed = np.argwhere(allowed)
+    for v, (i, j) in enumerate(flat_allowed):
+        var_index[i, j] = v
+    n_vars = flat_allowed.shape[0]
+
+    c = np.array(
+        [weights[i] * max(b[j], fastest[i, j]) for i, j in flat_allowed]
+    )
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    rhs: list[float] = []
+    row = 0
+    for i in range(n):
+        for j in range(J):
+            v = var_index[i, j]
+            if v >= 0:
+                rows.append(row)
+                cols.append(int(v))
+                vals.append(-1.0)
+        rhs.append(-1.0)
+        row += 1
+    for j in range(J - 1):
+        for l in range(j + 1):
+            for i in range(n):
+                v = var_index[i, l]
+                if v >= 0:
+                    rows.append(row)
+                    cols.append(int(v))
+                    vals.append(float(S[i, l]))
+        rhs.append(float(m * b[j + 1]))
+        row += 1
+
+    A = sparse.coo_matrix((vals, (rows, cols)), shape=(row, n_vars)).tocsr()
+    return c, A, np.array(rhs)
+
+
+def _assert_model_matches_loops(inst, cmax_estimate, models, **kwargs):
+    res = minsum_lower_bound(inst, cmax_estimate, **kwargs)
+    (got,) = models
+    want = _loop_model(inst, cmax_estimate)
+    for name, g, w in zip(("c", "A", "b_ub"), got, want):
+        if name == "A":
+            assert g.shape == w.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(g, part), getattr(w, part)), part
+        else:
+            assert np.array_equal(g, w), name
+    return res
+
+
+class TestColumnarAssembly:
+    """The model handed to the solver equals the loop assembler's exactly."""
+
+    @pytest.mark.parametrize("n", (1, 2, 25, 137))
+    @pytest.mark.parametrize("m", (1, 7, 64, 200))
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_generated_families(self, kind, m, n, solved_models):
+        inst = generate_workload(kind, n=n, m=m, seed=derive_rng(13, kind, n, m))
+        _assert_model_matches_loops(
+            inst, dual_approximation(inst).lam, solved_models
+        )
+
+    def test_estimate_below_tmin_leaves_first_interval_empty(self, solved_models):
+        inst = generate_workload("mixed", n=12, m=8, seed=derive_rng(13, "low"))
+        estimate = 0.75 * inst.tmin
+        assert math.floor(math.log2(estimate / inst.tmin)) < 0  # K clamps to 0
+        res = _assert_model_matches_loops(inst, estimate, solved_models)
+        ((_, A, _),) = solved_models
+        assert A[inst.n].nnz == 0  # surface row 0: nothing fits (0, t_0]
+        assert (res.x[:, 0] == 0).all()
+
+    def test_estimate_far_above_dual_gives_many_intervals(self, solved_models):
+        inst = generate_workload("cirne", n=30, m=16, seed=derive_rng(13, "high"))
+        lam = dual_approximation(inst).lam
+        res = _assert_model_matches_loops(inst, 64 * lam, solved_models)
+        assert res.boundaries.size > 10
+
+    def test_rigid_task_has_no_early_variables(self, solved_models):
+        rigid = MoldableTask(0, [np.inf, np.inf, 5.0])
+        tasks = [rigid] + [
+            MoldableTask(i, [1.0 * i, 0.6 * i, 0.5 * i], weight=1.0 + i)
+            for i in (1, 2)
+        ]
+        inst = Instance(tasks, 3)
+        res = _assert_model_matches_loops(
+            inst, dual_approximation(inst).lam, solved_models
+        )
+        early = res.boundaries[1:] < 5.0  # intervals ending before p(3)
+        assert early.any()
+        assert (res.x[0, : early.size][early] == 0).all()
+
+    def test_vectors_shorter_and_longer_than_m(self, solved_models):
+        tasks = [
+            MoldableTask(0, [6.0, 3.5]),
+            MoldableTask(1, [9.0, 5.0, 3.6, 3.0, 2.6, 2.4, 2.2], weight=2.0),
+            MoldableTask(2, [4.0, 2.2, 1.6, 1.3, 1.1], weight=0.5),
+        ]
+        inst = Instance(tasks, 5)
+        _assert_model_matches_loops(
+            inst, dual_approximation(inst).lam, solved_models
+        )
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_integral(self, kind, solved_models):
+        inst = generate_workload(kind, n=8, m=6, seed=derive_rng(13, kind, "ilp"))
+        res = _assert_model_matches_loops(
+            inst, dual_approximation(inst).lam, solved_models, integral=True
+        )
+        assert res.integral

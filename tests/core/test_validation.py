@@ -82,6 +82,15 @@ class TestViolations:
         # Off-line algorithms may opt out.
         validate_schedule(s, inst, check_releases=False)
 
+    def test_duration_shorter_than_p_k(self):
+        # A trusted placement skips the p(k) derivation; the validator must
+        # still catch a duration that disagrees with the task's p(k).
+        inst = make_instance(n=1, m=4, seq_time=8.0)
+        s = Schedule(m=4)
+        s._place_trusted(inst[0], 0.0, 2, inst[0].p(2) / 2)
+        with pytest.raises(InvalidScheduleError, match="duration"):
+            validate_schedule(s, inst)
+
     def test_back_to_back_tasks_are_fine(self):
         # End at exactly t and start at t must not be flagged as overlap.
         inst = make_instance(n=2, m=2, seq_time=4.0)

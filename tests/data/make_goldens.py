@@ -19,6 +19,10 @@ compared with ``==`` by the regression suites:
   of every moldability model on the SWF fixtures: makespan, weighted flow
   and a sha256 over each schedule's placements
   (``tests/integration/test_trace_replay.py``).
+* ``minsum_lp_goldens.json`` — the §3.3 minsum LP bound (value and
+  interval boundaries) plus a sha256 over the model handed to HiGHS, on
+  synthetic cells, the SWF fixtures under every moldability model, and
+  the ILP variant on small instances (``tests/bounds/test_minsum_lp.py``).
 
 Regenerate ONLY when an intentional behavioral change is made (and say so
 in the commit message):
@@ -31,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
@@ -357,6 +362,100 @@ def pareto_golden_cells() -> list[dict]:
     return cells
 
 
+MINSUM_LP_GOLDEN_PATH = Path(__file__).with_name("minsum_lp_goldens.json")
+
+#: Frozen LP-bound corpus: every family at the paper's m=200 (Figures 3-6),
+#: the robustness shape (``mixed`` at m=64), the SWF fixtures under every
+#: moldability model, and the ILP on small instances.  ``(kind, n, m,
+#: integral)``; the trace cells use the fixtures' replay ``m``.
+MINSUM_LP_CELLS = (
+    tuple((kind, n, 200, False) for kind in GOLDEN_FAMILIES for n in (25, 100, 400))
+    + tuple(("mixed", n, 64, False) for n in (200, 400))
+    + tuple((kind, 10, 8, True) for kind in GOLDEN_FAMILIES)
+)
+
+
+@contextmanager
+def captured_lp_models():
+    """Patch the solver entry points of :mod:`repro.bounds.minsum_lp` with
+    recorders that forward to the real ``linprog``/``milp``; yields the
+    list of solved models as ``(c, A, b_ub)``."""
+    import repro.bounds.minsum_lp as lp
+
+    models: list[tuple] = []
+    real_linprog, real_milp = lp.linprog, lp.milp
+
+    def linprog(c, **kwargs):
+        models.append((c, kwargs["A_ub"], kwargs["b_ub"]))
+        return real_linprog(c, **kwargs)
+
+    def milp(c, **kwargs):
+        cons = kwargs["constraints"]
+        models.append((c, cons.A, cons.ub))
+        return real_milp(c, **kwargs)
+
+    lp.linprog, lp.milp = linprog, milp
+    try:
+        yield models
+    finally:
+        lp.linprog, lp.milp = real_linprog, real_milp
+
+
+def lp_model_sha256(c, A, b_ub) -> str:
+    """sha256 over ``c``, ``b_ub`` and the CSR ``indptr``/``indices``/``data``
+    of ``A``; the index arrays are cast to int64 so the index dtype scipy
+    picks does not enter the digest."""
+    import numpy as np
+    from scipy import sparse
+
+    A = sparse.csr_matrix(A)
+    h = hashlib.sha256()
+    for arr in (
+        c,
+        b_ub,
+        A.indptr.astype(np.int64),
+        A.indices.astype(np.int64),
+        A.data,
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _minsum_lp_doc(inst, integral: bool) -> dict:
+    from repro.algorithms.dual_approx import dual_approximation
+    from repro.bounds.minsum_lp import minsum_lower_bound
+
+    lam = dual_approximation(inst).lam
+    with captured_lp_models() as models:
+        res = minsum_lower_bound(inst, lam, integral=integral)
+    (model,) = models
+    return {
+        "n": inst.n,
+        "m": inst.m,
+        "integral": integral,
+        "value": res.value,
+        "boundaries": res.boundaries.tolist(),
+        "model_sha256": lp_model_sha256(*model),
+    }
+
+
+def minsum_lp_golden_cells() -> list[dict]:
+    from repro.workloads.trace import MOLDABILITY_MODELS, load_trace, trace_instance
+
+    cells = []
+    for kind, n, m, integral in MINSUM_LP_CELLS:
+        inst = generate_workload(
+            kind, n=n, m=m, seed=derive_rng(GOLDEN_SEED, "minsum_lp", kind, n, m)
+        )
+        cells.append({"source": kind, "model": None, **_minsum_lp_doc(inst, integral)})
+    for name, (_kwargs, m) in TRACE_FIXTURES.items():
+        trace = load_trace(TRACES_DIR / name)
+        for model in MOLDABILITY_MODELS:
+            inst = trace_instance(trace, m, model, online=False)
+            cells.append({"source": name, "model": model, **_minsum_lp_doc(inst, False)})
+    return cells
+
+
 def main() -> None:
     payload = {
         "_meta": {
@@ -447,6 +546,22 @@ def main() -> None:
     }
     FAULTY_GOLDEN_PATH.write_text(json.dumps(faulty_payload, indent=1) + "\n")
     print(f"wrote {len(faulty_payload['cells'])} faulty cells to {FAULTY_GOLDEN_PATH}")
+
+    minsum_lp_payload = {
+        "_meta": {
+            "seed": GOLDEN_SEED,
+            "comment": (
+                "Bit-exact §3.3 minsum LP/ILP bounds (value, boundaries) "
+                "at the dual-approximation estimate, plus a sha256 over the "
+                "model handed to the solver (c, b_ub, CSR indptr/indices/"
+                "data with int64 indices); regenerate with "
+                "tests/data/make_goldens.py only for intentional changes."
+            ),
+        },
+        "cells": minsum_lp_golden_cells(),
+    }
+    MINSUM_LP_GOLDEN_PATH.write_text(json.dumps(minsum_lp_payload, indent=1) + "\n")
+    print(f"wrote {len(minsum_lp_payload['cells'])} LP cells to {MINSUM_LP_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
