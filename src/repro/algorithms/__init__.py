@@ -22,7 +22,7 @@ callables for the experiment harness.
 """
 
 from repro.algorithms.knapsack import knapsack_select, KnapsackItem
-from repro.algorithms.merge import merge_small_tasks, MergedStack
+from repro.algorithms.merge import merge_small_tasks
 from repro.algorithms.dual_approx import dual_approximation, DualApproxResult
 from repro.algorithms.list_scheduling import list_schedule, ListItem
 from repro.algorithms.compaction import (
@@ -44,7 +44,6 @@ __all__ = [
     "knapsack_select",
     "KnapsackItem",
     "merge_small_tasks",
-    "MergedStack",
     "dual_approximation",
     "DualApproxResult",
     "list_schedule",

@@ -29,8 +29,22 @@ Within a batch, items are ordered by decreasing ``weight / duration``
 (Smith ratio) — the paper only asks for "a local ordering within the
 batches" without fixing one; the choice is benched in the ablations.
 
-Overall complexity ``O(m n K)`` for the selection loop, as stated in the
-paper, plus ``O(n^2)`` for each compaction pass.
+The paper states ``O(m n K)`` for the selection loop: ``K + 1`` batches,
+each a knapsack over at most ``n`` items and ``m`` processors.  The
+doubling extension of step 3 goes beyond the paper and runs up to
+``K + 2 + n`` rounds, so the worst case is ``O(m n (K + n))``.  The
+extension is not a corner case: on a 3000-job archive
+(``synthesize_swf(3000, 64, 200400, load=0.8)``, the ``replay-demt``
+benchmark's first part) under the ``rigid`` model, off-line, DEMT builds
+453 batches with ``K = 12``, and 439 of them come from the extension.
+Each compaction pass adds ``O(n^2)``.
+
+The selection loop is columnar: the pool of unplaced tasks is an array of
+instance rows, each round scans it with array operations, and
+:class:`~repro.algorithms.list_scheduling.ListItem` objects are built only
+for the items the knapsack keeps.  The seed's object loop is the oracle
+:class:`repro.algorithms.reference.ReferenceDemtScheduler`.  A scheduler
+keeps no per-call state, so threads may share one.
 """
 
 from __future__ import annotations
@@ -51,10 +65,9 @@ from repro.algorithms.dual_approx import DualApproxResult, dual_approximation
 from repro.algorithms.knapsack import knapsack_select_indices
 from repro.algorithms.list_scheduling import ListItem
 from repro.algorithms.merge import merge_small_tasks
-from repro.core.allotment import minimal_allotments, minimal_allotments_for_tasks
+from repro.core.allotment import minimal_allotments
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.core.task import MoldableTask
 from repro.exceptions import SchedulingError
 from repro.utils.rng import make_rng
 
@@ -144,7 +157,6 @@ class DemtScheduler:
         self.batch_ordering = batch_ordering
         self.guess_relaxation = guess_relaxation
         self.seed = seed
-        self._selection_cache: tuple | None = None
 
     # ------------------------------------------------------------------ #
     def schedule(self, instance: Instance) -> Schedule:
@@ -205,105 +217,109 @@ class DemtScheduler:
         # t_j = cstar / 2^(K-j); batch j spans [t_j, t_{j+1}], length t_j.
         t_grid = [cstar / 2 ** (K - j) for j in range(K + 2)]
 
-        remaining: dict[int, MoldableTask] = {t.task_id: t for t in instance.tasks}
+        # Columnar pool: the instance rows of the unplaced tasks, kept in
+        # instance order.  Every round scans it as arrays; task objects are
+        # touched only for the items the knapsack keeps.
+        tasks = instance.tasks
+        times = instance.times_matrix
+        seq_times, weights, task_ids = times[:, 0], instance.weights, instance.task_ids
+        n = instance.n
+        pool = np.arange(n)
         batches: list[list[ListItem]] = []
         starts: list[float] = []
 
-        # Share the instance's padded (n, m) time matrix with every batch's
-        # admissibility sweep (row-sliced per pool) instead of restacking
-        # the shrinking pool's vectors each round.
-        self._selection_cache = (
-            instance.times_matrix,
-            dict(zip(instance.task_ids.tolist(), range(instance.n))),
-        )
-        try:
-            j = 0
-            # Extension beyond the paper's `for j = 0..K`: keep doubling until
-            # every task is placed (the knapsack may not fit all of them in the
-            # nominal K+1 batches when the machine is narrow).
-            max_batches = K + 2 + instance.n
-            # The doubling exponent is clamped so `length` stays finite
-            # however many extension rounds a narrow machine needs: by then
-            # every task is admissible anyway, and an infinite length
-            # poisons the merge threshold and the shelf starts.  The clamp
-            # must bound the *product*, not just the exponent: with
-            # t_grid[-1] above ~2e37 even small exponents overflowed the
-            # old `t_grid[-1] * 2.0 ** min(j - K - 1, 900)` form, so the
-            # extension saturates at the largest finite doubling instead
-            # (ldexp is exact, bit-identical to the multiply when finite).
-            t_last = t_grid[-1]
-            k_max = min(900, 1024 - math.frexp(t_last)[1]) if math.isfinite(t_last) else 900
-            while remaining and j < max_batches:
-                length = (
-                    t_grid[j]
-                    if j < len(t_grid)
-                    else math.ldexp(t_last, min(j - K - 1, k_max))
-                )
-                start = length  # window is [t_j, t_{j+1}] and t_j == length
-                selected = self._select_one_batch(
-                    list(remaining.values()), length, instance.m
-                )
-                if selected:
-                    batches.append(selected)
-                    starts.append(start)
-                    for it in selected:
-                        for task in it.stack or (it.task,):
-                            del remaining[task.task_id]
-                j += 1
-        finally:
-            self._selection_cache = None
-        if remaining:  # pragma: no cover - defensive
-            raise SchedulingError(
-                f"batch selection left {len(remaining)} tasks unplaced"
+        j = 0
+        # Extension beyond the paper's `for j = 0..K`: keep doubling until
+        # every task is placed (the knapsack may not fit all of them in the
+        # nominal K+1 batches when the machine is narrow).
+        max_batches = K + 2 + n
+        # The doubling exponent is clamped so `length` stays finite
+        # however many extension rounds a narrow machine needs: by then
+        # every task is admissible anyway, and an infinite length
+        # poisons the merge threshold and the shelf starts.  The clamp
+        # must bound the *product*, not just the exponent: with
+        # t_grid[-1] above ~2e37 even small exponents overflowed the
+        # old `t_grid[-1] * 2.0 ** min(j - K - 1, 900)` form, so the
+        # extension saturates at the largest finite doubling instead
+        # (ldexp is exact, bit-identical to the multiply when finite).
+        t_last = t_grid[-1]
+        k_max = min(900, 1024 - math.frexp(t_last)[1]) if math.isfinite(t_last) else 900
+        while pool.size and j < max_batches:
+            length = (
+                t_grid[j]
+                if j < len(t_grid)
+                else math.ldexp(t_last, min(j - K - 1, k_max))
             )
+            j += 1
+            # (a) admissibility: some allotment meets the batch length.
+            # Until the first batch is taken the pool is the whole instance.
+            allots = minimal_allotments(times if pool.size == n else times[pool], length)
+            admissible = allots.nonzero()[0]  # positions in the pool
+            if not admissible.size:
+                continue
+            if admissible.size == n:
+                rows, p1, w, ids = pool, seq_times, weights, task_ids
+            else:
+                rows = pool
+                if admissible.size < pool.size:
+                    rows, allots = pool[admissible], allots[admissible]
+                p1, w, ids = seq_times[rows], weights[rows], task_ids[rows]
+            # (b) merge small sequential tasks by decreasing weight.
+            stacks, stack_weights, rest = merge_small_tasks(
+                p1, w, ids, length, small_threshold_factor=self.small_threshold_factor
+            )
+            # (c) knapsack items: stacks first (allotment 1), then the
+            # untouched tasks at their minimal allotment, in pool order —
+            # the DP processes them in this order.
+            ns = len(stacks)
+            if ns:
+                cand_allots = np.concatenate((np.ones(ns, np.int64), allots[rest]))
+                cand_weights = np.concatenate((stack_weights, w[rest]))
+                cand_ids = np.concatenate((ids[[s[0] for s in stacks]], ids[rest]))
+            else:
+                cand_allots, cand_weights, cand_ids = allots, w, ids
+            picked = self._choose(cand_allots, cand_weights, cand_ids, instance.m)
+            if not len(picked):
+                continue
+            batch: list[ListItem] = []
+            taken: list[int] = []  # positions in `rows`
+            for i in picked:
+                if i < ns:
+                    members = stacks[i]
+                    stack = tuple(tasks[r] for r in rows[members].tolist())
+                    batch.append(ListItem(stack[0], 1, stack=stack))
+                    taken += members
+                else:
+                    pos = int(rest[i - ns])
+                    batch.append(ListItem(tasks[int(rows[pos])], int(allots[pos])))
+                    taken.append(pos)
+            # Local ordering inside the batch (default: Smith ratio).
+            batch.sort(key=_BATCH_SORT_KEYS[self.batch_ordering])
+            batches.append(batch)
+            starts.append(length)  # window is [t_j, t_{j+1}] and t_j == length
+            # (d) the chosen tasks leave the pool, which stays in instance order.
+            if len(taken) == pool.size:
+                pool = pool[:0]
+            else:
+                keep = np.ones(pool.size, dtype=bool)
+                keep[admissible[taken]] = False
+                pool = pool[keep]
+        if pool.size:  # pragma: no cover - defensive
+            raise SchedulingError(f"batch selection left {pool.size} tasks unplaced")
         return batches, starts, t_grid, K
 
-    def _select_one_batch(
-        self, tasks: list[MoldableTask], length: float, m: int
-    ) -> list[ListItem]:
-        # (a) admissibility: some allotment meets the batch length.  One
-        # vectorised sweep over the pool's time vectors replaces a
-        # per-task minimal_allotment call (the seed's selection hot spot).
-        cache = getattr(self, "_selection_cache", None)
-        if cache is not None:
-            matrix, rowmap = cache
-            allots = minimal_allotments(
-                matrix[[rowmap[t.task_id] for t in tasks]], length
-            )
-        else:
-            allots = minimal_allotments_for_tasks(tasks, length, m)
-        admissible = [t for t, a in zip(tasks, allots) if a]
-        if not admissible:
-            return []
-        allot_by_id = {t.task_id: int(a) for t, a in zip(tasks, allots) if a}
-        # (b) merge small sequential tasks by decreasing weight.
-        stacks, rest = merge_small_tasks(
-            admissible, length, small_threshold_factor=self.small_threshold_factor
-        )
-        # (c) price every knapsack item at its minimal allotment (stacks
-        # first, then plain tasks — the DP processes them in this order).
-        # Columnar: the knapsack gets flat arrays and ListItems are built
-        # only for the *selected* items — the pool can be 10-100x larger
-        # than the batch, so materialising a candidate object per pool
-        # member every round was the selection loop's dominant allocation.
-        ns = len(stacks)
-        cand_allots = np.ones(ns + len(rest), dtype=np.int64)
-        cand_weights = np.empty(ns + len(rest), dtype=np.float64)
-        for k, stack in enumerate(stacks):
-            cand_weights[k] = stack.weight
-        for k, task in enumerate(rest):
-            cand_allots[ns + k] = allot_by_id[task.task_id]
-            cand_weights[ns + k] = task.weight
-        selected, _, _ = knapsack_select_indices(cand_allots, cand_weights, m)
-        chosen = [
-            ListItem(stacks[i].tasks[0], 1, stack=stacks[i].tasks)
-            if i < ns
-            else ListItem(rest[i - ns], allot_by_id[rest[i - ns].task_id])
-            for i in selected
-        ]
-        # (d) local ordering inside the batch (default: Smith ratio).
-        chosen.sort(key=_BATCH_SORT_KEYS[self.batch_ordering])
-        return chosen
+    def _choose(
+        self,
+        allotments: np.ndarray,
+        weights: np.ndarray,
+        lead_ids: np.ndarray,
+        m: int,
+    ) -> list[int]:
+        """Indices of the items that form the batch: the paper's
+        weight-maximising knapsack under ``m`` processors.  The A1
+        ablation swaps in a greedy choice here, breaking its ties by
+        ``lead_ids`` (each item's first task id)."""
+        return knapsack_select_indices(allotments, weights, m)[0]
 
     # ------------------------------------------------------------------ #
     # Phase 2: compaction and shuffle optimisation                       #

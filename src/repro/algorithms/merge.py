@@ -13,60 +13,38 @@ within the batch length ``t``; a task that does not fit opens a new stack.
 Because every candidate lasts at most ``t/2``, every stack except possibly
 the last holds at least two tasks — that is the point of the merge: weight
 density per processor goes up.
+
+The merge works on columns — each candidate's ``p(1)``, weight and id —
+so DEMT's batch loop hands it slices of the instance arrays and builds
+task objects only for the items its knapsack keeps.  The seed's object
+version is kept as the oracle
+:func:`repro.algorithms.reference.reference_merge_small_tasks`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
-from repro.core.task import MoldableTask
+import numpy as np
 
-__all__ = ["MergedStack", "merge_small_tasks"]
-
-
-@dataclass(frozen=True)
-class MergedStack:
-    """A pile of sequential tasks run back-to-back on one processor.
-
-    ``tasks`` are ordered as they will execute (decreasing weight, so the
-    heaviest completes first — the right order for ``sum w_i C_i`` by the
-    classical exchange argument at equal processing slots).
-    """
-
-    tasks: tuple[MoldableTask, ...]
-
-    @property
-    def duration(self) -> float:
-        """Total sequential time of the stack."""
-        return sum(t.seq_time for t in self.tasks)
-
-    @property
-    def weight(self) -> float:
-        """Aggregated knapsack weight."""
-        return sum(t.weight for t in self.tasks)
-
-    @property
-    def task_ids(self) -> tuple[int, ...]:
-        return tuple(t.task_id for t in self.tasks)
-
-    def __len__(self) -> int:
-        return len(self.tasks)
+__all__ = ["merge_small_tasks"]
 
 
 def merge_small_tasks(
-    tasks: Sequence[MoldableTask],
+    seq_times: np.ndarray,
+    weights: np.ndarray,
+    task_ids: np.ndarray,
     batch_length: float,
     *,
     small_threshold_factor: float = 0.5,
-) -> tuple[list[MergedStack], list[MoldableTask]]:
-    """Stack small sequential tasks; return ``(stacks, untouched)``.
+) -> tuple[list[list[int]], list[float], np.ndarray]:
+    """Stack small sequential tasks; return ``(stacks, stack_weights, untouched)``.
 
     Parameters
     ----------
-    tasks:
-        Candidate tasks for the current batch.
+    seq_times, weights, task_ids:
+        Parallel ``(n,)`` columns of the candidate tasks: sequential time
+        ``p(1)``, weight and id.
     batch_length:
         The batch length ``t``; a task is *small* when
         ``p(1) <= small_threshold_factor * t``.
@@ -77,13 +55,22 @@ def merge_small_tasks(
     Returns
     -------
     stacks:
-        Maximal-weight-first stacks of small tasks, each of total duration
-        ``<= batch_length``.  Singleton stacks may appear (a small task that
-        did not combine with others); they are still knapsack items of
-        allotment 1.
+        Each stack's members as positions into the columns, in execution
+        order.  Stacks are filled by decreasing weight (ties by id), each of
+        total duration ``<= batch_length``.  Singleton stacks may appear (a
+        small task that did not combine with others); they are still
+        knapsack items of allotment 1.
+    stack_weights:
+        Each stack's summed weight, accumulated left to right.
     untouched:
-        Tasks that are not small; the caller gives them their regular
-        minimal allotment for the batch.
+        Positions of the tasks that are not small, in input order; the
+        caller gives them their regular minimal allotment for the batch.
+
+    >>> stacks, w, rest = merge_small_tasks(
+    ...     np.array([1.0, 9.0, 2.0]), np.array([1.0, 1.0, 3.0]),
+    ...     np.array([0, 1, 2]), 8.0)
+    >>> stacks, w, rest.tolist()
+    ([[2, 0]], [4.0], [1])
     """
     if batch_length <= 0:
         raise ValueError(f"batch length must be positive, got {batch_length}")
@@ -92,26 +79,32 @@ def merge_small_tasks(
             f"small_threshold_factor must lie in (0, 1], got {small_threshold_factor}"
         )
     threshold = small_threshold_factor * batch_length
-    # A task with no sequential mode (p(1) = +inf: rigid jobs wider than
-    # one processor) can never be stacked, whatever the threshold — an
-    # infinite threshold (overlong doubling rounds) must not sweep it in.
-    small: list[MoldableTask] = []
-    untouched: list[MoldableTask] = []
-    for t in tasks:
-        is_small = t.seq_time <= threshold and math.isfinite(t.seq_time)
-        (small if is_small else untouched).append(t)
+    small = seq_times <= threshold
+    if threshold == math.inf:
+        # A task with no sequential mode (p(1) = +inf: rigid jobs wider
+        # than one processor) can never be stacked — an infinite threshold
+        # must not sweep it in.  Below a finite threshold it never is.
+        small &= np.isfinite(seq_times)
+    small_pos = small.nonzero()[0]
+    if not small_pos.size:
+        return [], [], np.arange(seq_times.size)
 
-    small.sort(key=lambda t: (-t.weight, t.task_id))
-    stacks: list[MergedStack] = []
-    current: list[MoldableTask] = []
-    current_time = 0.0
-    for task in small:
-        if current and current_time + task.seq_time > batch_length:
-            stacks.append(MergedStack(tuple(current)))
+    order = small_pos[np.lexsort((task_ids[small_pos], -weights[small_pos]))]
+    stacks: list[list[int]] = []
+    stack_weights: list[float] = []
+    current: list[int] = []
+    current_time = current_weight = 0.0
+    # Python floats, summed left to right: the stack boundaries and weights
+    # are the seed's to the last bit (a pairwise np.sum would not be).
+    for pos, p, w in zip(order.tolist(), seq_times[order].tolist(), weights[order].tolist()):
+        if current and current_time + p > batch_length:
+            stacks.append(current)
+            stack_weights.append(current_weight)
             current = []
-            current_time = 0.0
-        current.append(task)
-        current_time += task.seq_time
-    if current:
-        stacks.append(MergedStack(tuple(current)))
-    return stacks, untouched
+            current_time = current_weight = 0.0
+        current.append(pos)
+        current_time += p
+        current_weight += w
+    stacks.append(current)
+    stack_weights.append(current_weight)
+    return stacks, stack_weights, (~small).nonzero()[0]

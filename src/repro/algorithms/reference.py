@@ -10,7 +10,9 @@ Used by
 * ``tests/properties/`` — the differential suite runs both paths on a
   randomized corpus and asserts identical placements;
 * ``benchmarks/bench_fig7_timing.py`` — :class:`ReferenceDemtScheduler`
-  is the baseline of the vectorized-core speedup measurement.
+  is the baseline of the vectorized-core speedup measurement;
+* ``tests/algorithms/test_merge.py`` — :func:`reference_merge_small_tasks`
+  is the oracle of the columnar merge.
 
 Nothing in the library's production paths imports this module.
 """
@@ -18,12 +20,15 @@ Nothing in the library's production paths imports this module.
 from __future__ import annotations
 
 import heapq
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.algorithms.list_scheduling import ListItem, _place
 from repro.core.schedule import Schedule
+from repro.core.task import MoldableTask
 from repro.exceptions import SchedulingError
 from repro.utils.rng import make_rng
 
@@ -32,6 +37,8 @@ __all__ = [
     "reference_pull_forward",
     "reference_list_compaction",
     "reference_earliest_fit",
+    "MergedStack",
+    "reference_merge_small_tasks",
     "ReferenceDemtScheduler",
 ]
 
@@ -124,6 +131,98 @@ def reference_list_compaction(
     """The seed's full Graham list compaction with the batch ordering."""
     flat: list[ListItem] = [it for items in batches for it in items]
     return reference_list_schedule(flat, m)
+
+
+@dataclass(frozen=True)
+class MergedStack:
+    """A pile of sequential tasks run back-to-back on one processor.
+
+    ``tasks`` are ordered as they will execute (decreasing weight, so the
+    heaviest completes first — the right order for ``sum w_i C_i`` by the
+    classical exchange argument at equal processing slots).
+    """
+
+    tasks: tuple[MoldableTask, ...]
+
+    @property
+    def duration(self) -> float:
+        """Total sequential time of the stack."""
+        return sum(t.seq_time for t in self.tasks)
+
+    @property
+    def weight(self) -> float:
+        """Aggregated knapsack weight."""
+        return sum(t.weight for t in self.tasks)
+
+    @property
+    def task_ids(self) -> tuple[int, ...]:
+        return tuple(t.task_id for t in self.tasks)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+
+def reference_merge_small_tasks(
+    tasks: Sequence[MoldableTask],
+    batch_length: float,
+    *,
+    small_threshold_factor: float = 0.5,
+) -> tuple[list[MergedStack], list[MoldableTask]]:
+    """The seed's object merge of small sequential tasks; returns
+    ``(stacks, untouched)``.
+
+    Parameters
+    ----------
+    tasks:
+        Candidate tasks for the current batch.
+    batch_length:
+        The batch length ``t``; a task is *small* when
+        ``p(1) <= small_threshold_factor * t``.
+    small_threshold_factor:
+        The paper uses one half ("less than half the batch size").  Exposed
+        for the ablation benchmarks.
+
+    Returns
+    -------
+    stacks:
+        Maximal-weight-first stacks of small tasks, each of total duration
+        ``<= batch_length``.  Singleton stacks may appear (a small task that
+        did not combine with others); they are still knapsack items of
+        allotment 1.
+    untouched:
+        Tasks that are not small; the caller gives them their regular
+        minimal allotment for the batch.
+    """
+    if batch_length <= 0:
+        raise ValueError(f"batch length must be positive, got {batch_length}")
+    if not 0 < small_threshold_factor <= 1:
+        raise ValueError(
+            f"small_threshold_factor must lie in (0, 1], got {small_threshold_factor}"
+        )
+    threshold = small_threshold_factor * batch_length
+    # A task with no sequential mode (p(1) = +inf: rigid jobs wider than
+    # one processor) can never be stacked, whatever the threshold — an
+    # infinite threshold (overlong doubling rounds) must not sweep it in.
+    small: list[MoldableTask] = []
+    untouched: list[MoldableTask] = []
+    for t in tasks:
+        is_small = t.seq_time <= threshold and math.isfinite(t.seq_time)
+        (small if is_small else untouched).append(t)
+
+    small.sort(key=lambda t: (-t.weight, t.task_id))
+    stacks: list[MergedStack] = []
+    current: list[MoldableTask] = []
+    current_time = 0.0
+    for task in small:
+        if current and current_time + task.seq_time > batch_length:
+            stacks.append(MergedStack(tuple(current)))
+            current = []
+            current_time = 0.0
+        current.append(task)
+        current_time += task.seq_time
+    if current:
+        stacks.append(MergedStack(tuple(current)))
+    return stacks, untouched
 
 
 def reference_minimal_area_allotments(
@@ -265,7 +364,8 @@ from repro.algorithms.demt import DemtScheduler  # noqa: E402
 class ReferenceDemtScheduler(DemtScheduler):
     """DEMT running entirely on the seed's implementations.
 
-    Seed dual approximation, seed per-task admissibility scan, seed
+    Seed dual approximation, seed object selection loop (per-task
+    admissibility scan, object merge, item-object knapsack), seed
     compaction and seed shuffle loop — the full pre-vectorization
     behavior, for differential tests and as the baseline of the speedup
     benchmark in ``benchmarks/bench_fig7_timing.py``.
@@ -276,15 +376,51 @@ class ReferenceDemtScheduler(DemtScheduler):
     def _dual(self, instance):
         return reference_dual_approximation(instance)
 
+    def _select_batches(self, instance, cstar):
+        tmin = instance.tmin
+        if not (cstar > 0 and np.isfinite(cstar)):  # pragma: no cover - defensive
+            raise SchedulingError(f"invalid C*max estimate {cstar}")
+        K = max(0, int(math.floor(math.log2(cstar / tmin))))
+        t_grid = [cstar / 2 ** (K - j) for j in range(K + 2)]
+
+        remaining = {t.task_id: t for t in instance.tasks}
+        batches = []
+        starts = []
+        j = 0
+        max_batches = K + 2 + instance.n
+        t_last = t_grid[-1]
+        k_max = min(900, 1024 - math.frexp(t_last)[1]) if math.isfinite(t_last) else 900
+        while remaining and j < max_batches:
+            length = (
+                t_grid[j]
+                if j < len(t_grid)
+                else math.ldexp(t_last, min(j - K - 1, k_max))
+            )
+            start = length
+            selected = self._select_one_batch(
+                list(remaining.values()), length, instance.m
+            )
+            if selected:
+                batches.append(selected)
+                starts.append(start)
+                for it in selected:
+                    for task in it.stack or (it.task,):
+                        del remaining[task.task_id]
+            j += 1
+        if remaining:  # pragma: no cover - defensive
+            raise SchedulingError(
+                f"batch selection left {len(remaining)} tasks unplaced"
+            )
+        return batches, starts, t_grid, K
+
     def _select_one_batch(self, tasks, length, m):
         from repro.algorithms.knapsack import KnapsackItem, knapsack_select
-        from repro.algorithms.merge import merge_small_tasks
         from repro.core.allotment import minimal_allotment
 
         admissible = [t for t in tasks if minimal_allotment(t, length, m=m) is not None]
         if not admissible:
             return []
-        stacks, rest = merge_small_tasks(
+        stacks, rest = reference_merge_small_tasks(
             admissible, length, small_threshold_factor=self.small_threshold_factor
         )
         items = []

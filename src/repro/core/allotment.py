@@ -19,8 +19,6 @@ vectorised forms operate on the ``(n, m)`` processing-time matrix exposed by
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.task import MoldableTask
@@ -28,7 +26,6 @@ from repro.core.task import MoldableTask
 __all__ = [
     "minimal_allotment",
     "minimal_allotments",
-    "minimal_allotments_for_tasks",
     "minimal_area_allotment",
     "minimal_area_allotments",
 ]
@@ -77,30 +74,6 @@ def minimal_allotments(
     allot = ok.argmax(axis=1) + 1
     allot[~any_ok] = 0
     return allot.astype(np.int64)
-
-
-def minimal_allotments_for_tasks(
-    tasks: Sequence[MoldableTask], deadline: float, m: int
-) -> np.ndarray:
-    """Vectorised :func:`minimal_allotment` over a task *list*.
-
-    Unlike :func:`minimal_allotments` this builds the time matrix itself,
-    so batch loops over shrinking pools (DEMT's selection) get one numpy
-    sweep per batch instead of one ``minimal_allotment`` call per task.
-    Returns an ``(n,)`` int array; ``0`` encodes "no feasible allotment".
-    """
-    if not tasks:
-        return np.zeros(0, dtype=np.int64)
-    lengths = {t.times.size for t in tasks}
-    if len(lengths) == 1:
-        matrix = np.stack([t.times for t in tasks])[:, :m]
-    else:  # mixed vector lengths: pad with +inf (never feasible)
-        width = min(m, max(lengths))
-        matrix = np.full((len(tasks), width), np.inf)
-        for row, t in enumerate(tasks):
-            k = min(t.times.size, width)
-            matrix[row, :k] = t.times[:k]
-    return minimal_allotments(matrix, deadline)
 
 
 def minimal_area_allotment(

@@ -1,8 +1,21 @@
-"""Unit + property tests for the DEMT bi-criteria algorithm."""
+"""Unit + property tests for the DEMT bi-criteria algorithm.
+
+``TestGoldenCorpus`` pins whole DEMT runs against
+``tests/data/demt_goldens.json``; regenerate it only for intentional
+changes: ``PYTHONPATH=src python tests/data/make_goldens.py``.
+"""
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
+import json
 import math
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +26,18 @@ from repro.algorithms.demt import DemtScheduler, schedule_demt
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask
 from repro.core.validation import validate_schedule
+from repro.experiments.ablation import _GreedySelectionDemt
+from repro.extensions.greedy_interval import GreedyIntervalScheduler
+from repro.utils.rng import derive_rng
 from repro.workloads.generator import generate_workload
+from repro.workloads.trace import load_trace, synthesize_swf, trace_instance
 
 from tests.conftest import make_instance, make_task
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+GOLDEN_DOC = json.loads((DATA / "demt_goldens.json").read_text())
+GOLDENS = GOLDEN_DOC["cells"]
+FAMILIES = ("weakly_parallel", "highly_parallel", "mixed", "cirne")
 
 
 class TestConstruction:
@@ -271,3 +293,223 @@ class TestBicriteriaQuality:
         inst = generate_workload(kind, n=n, m=m, seed=seed)
         s = schedule_demt(inst, shuffle_rounds=3)
         validate_schedule(s, inst)
+
+
+# ---------------------------------------------------------------------- #
+# Golden corpus                                                          #
+# ---------------------------------------------------------------------- #
+def _batches_sha256(batches) -> str:
+    """The batch digest of ``make_goldens.py``: every item's ``(batch
+    index, task_id, allotment, stack task ids)`` repr, in order."""
+    h = hashlib.sha256()
+    for b, batch in enumerate(batches):
+        for it in batch:
+            row = (b, it.task.task_id, it.allotment, tuple(t.task_id for t in it.stack))
+            h.update(repr(row).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def _schedule_sha256(schedule) -> str:
+    """sha256 over every placement's ``(task_id, start, allotment, end)``
+    repr, in task-id order."""
+    h = hashlib.sha256()
+    for row in sorted((p.task.task_id, p.start, p.allotment, p.end) for p in schedule):
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _archive():
+    return load_trace(io.StringIO(synthesize_swf(**GOLDEN_DOC["_meta"]["archive"])))
+
+
+def _golden_instance(cell) -> Instance:
+    if cell["source"] == "archive":
+        trace = _archive()
+        assert trace.digest == cell["digest"]
+        return trace_instance(trace, cell["m"], cell["model"], online=False)
+    kind, n, m = cell["source"], cell["n"], cell["m"]
+    seed = derive_rng(GOLDEN_DOC["_meta"]["seed"], "demt", kind, n, m)
+    return generate_workload(kind, n=n, m=m, seed=seed)
+
+
+def _golden_engine(cell):
+    if cell["engine"] == "DEMT":
+        return DemtScheduler(**cell["knobs"])
+    engine = {"GreedyInterval": GreedyIntervalScheduler, "A1-greedy": _GreedySelectionDemt}
+    return engine[cell["engine"]]()
+
+
+class TestGoldenCorpus:
+    """Whole DEMT runs — batch contents, geometry, schedule and shuffle
+    gain — recorded before the columnar batch selection and compared at
+    full precision."""
+
+    def test_corpus_covers_sizes_knobs_engines_and_archive(self):
+        grid = {
+            (c["source"], c["n"], c["m"])
+            for c in GOLDENS
+            if c["engine"] == "DEMT" and not c["knobs"] and c["model"] is None
+        }
+        assert grid == {
+            (kind, n, m) for kind in FAMILIES for n, m in ((25, 13), (400, 200), (1000, 64))
+        }
+        knobs = {tuple(c["knobs"].items()) for c in GOLDENS if c["knobs"]}
+        assert knobs == {
+            *((("small_threshold_factor", f),) for f in (0.25, 1.0, 1e-12)),
+            *((("batch_ordering", o),) for o in ("weight", "duration", "id")),
+            (("guess_relaxation", 1.5),),
+            *((("compaction", c),) for c in ("shelf", "pull_forward")),
+        }
+        assert {c["engine"] for c in GOLDENS} == {"DEMT", "GreedyInterval", "A1-greedy"}
+        archive = {(c["model"], c["engine"]) for c in GOLDENS if c["source"] == "archive"}
+        assert {"rigid", "downey"} <= {model for model, _ in archive}
+        assert max(c["n"] for c in GOLDENS) == 3000
+
+    @pytest.mark.parametrize(
+        "cell",
+        GOLDENS,
+        ids=[
+            f"{c['source']}-{c['model'] or 'gen'}-n{c['n']}-m{c['m']}-{c['engine']}"
+            + "".join(f"-{k}={v}" for k, v in c["knobs"].items())
+            for c in GOLDENS
+        ],
+    )
+    def test_run_reproduces_golden(self, cell):
+        res = _golden_engine(cell).schedule_detailed(_golden_instance(cell))
+        got = {
+            "n_batches": len(res.batches),
+            "batches_sha256": _batches_sha256(res.batches),
+            "batch_starts": list(res.batch_starts),
+            "K": res.K,
+            "cmax_estimate": res.cmax_estimate,
+            "schedule_sha256": _schedule_sha256(res.schedule),
+            "shuffle_improvement": res.shuffle_improvement,
+        }
+        assert got == {k: cell[k] for k in got}  # full precision, no approx
+
+
+# ---------------------------------------------------------------------- #
+# Columnar selection loop vs the seed's object loop                      #
+# ---------------------------------------------------------------------- #
+def _placements(schedule) -> list:
+    return sorted((p.task.task_id, p.start, p.allotment, p.end) for p in schedule)
+
+
+def _batch_rows(result) -> list:
+    return [
+        [(it.task.task_id, it.allotment, tuple(t.task_id for t in it.stack)) for it in batch]
+        for batch in result.batches
+    ]
+
+
+@st.composite
+def ragged_instances(draw):
+    """Object-backed instances the generators never make: vectors shorter
+    and longer than ``m``, rigid tasks (``p(1) = +inf``), tied weights and
+    shuffled ids."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 25))
+    ids = draw(st.permutations(range(3 * n)))[:n]
+    tasks = []
+    for tid in ids:
+        width = draw(st.integers(1, m + 2))
+        times = draw(
+            st.lists(
+                st.one_of(st.just(math.inf), st.sampled_from([0.5, 1.0, 2.0]),
+                          st.floats(0.01, 50.0)),
+                min_size=width, max_size=width,
+            )
+        )
+        if all(math.isinf(t) for t in times[:m]):
+            times[draw(st.integers(0, min(m, width) - 1))] = draw(st.floats(0.01, 50.0))
+        weight = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.1, 10.0)))
+        tasks.append(MoldableTask(tid, times, weight=weight))
+    return Instance(tasks, m)
+
+
+class TestMatchesReferenceLoop:
+    """DEMT's columnar loop against the seed's object loop kept in
+    :class:`~repro.algorithms.reference.ReferenceDemtScheduler`."""
+
+    @given(inst=ragged_instances(), factor=st.sampled_from([0.5, 1.0, 1e-12, 0.25]))
+    @settings(max_examples=150, deadline=None)
+    def test_batches_match_reference(self, inst, factor):
+        from repro.algorithms.reference import ReferenceDemtScheduler
+
+        kw = dict(shuffle_rounds=0, small_threshold_factor=factor)
+        got = DemtScheduler(**kw).schedule_detailed(inst)
+        want = ReferenceDemtScheduler(**kw).schedule_detailed(inst)
+        assert _batch_rows(got) == _batch_rows(want)
+        assert got.batch_starts == want.batch_starts
+        assert _placements(got.schedule) == _placements(want.schedule)
+
+
+# ---------------------------------------------------------------------- #
+# One scheduler object shared by threads                                 #
+# ---------------------------------------------------------------------- #
+class TestSharedScheduler:
+    """A ``DemtScheduler`` keeps no per-call state, so threads may share
+    one object (the thread backend does when a bound method is the
+    engine)."""
+
+    def test_threads_sharing_one_scheduler_get_serial_schedules(self):
+        instances = [
+            generate_workload(kind, n=n, m=16, seed=seed)
+            for seed, (kind, n) in enumerate(
+                [("mixed", 40), ("cirne", 60), ("highly_parallel", 30), ("weakly_parallel", 50)]
+            )
+        ]
+        expected = [_placements(DemtScheduler(shuffle_rounds=2).schedule(i)) for i in instances]
+        shared = DemtScheduler(shuffle_rounds=2)
+        failures: list[str] = []
+        calls = [0]
+        deadline = time.monotonic() + 30.0
+
+        def work(k: int) -> None:
+            for call in range(15):
+                if time.monotonic() > deadline:
+                    return
+                i = (k + call) % len(instances)
+                try:
+                    got = _placements(shared.schedule(instances[i]))
+                except Exception as exc:  # the failure mode under test
+                    failures.append(f"instance {i}: {type(exc).__name__}: {exc}")
+                else:
+                    if got != expected[i]:
+                        failures.append(f"instance {i}: wrong schedule")
+                calls[0] += 1
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert calls[0] > 0
+        assert not failures, f"{len(failures)} of {calls[0]} calls: {failures[:3]}"
+
+    def test_thread_backend_replay_matches_serial(self):
+        from repro.experiments.replay import replay_trace
+
+        kw = dict(
+            models="all",
+            modes=["batch", "clairvoyant"],
+            offline=DemtScheduler(shuffle_rounds=3).schedule,
+        )
+        fixture = str(DATA / "traces" / "cirne_small.swf")
+        serial = replay_trace(fixture, **kw)
+        threaded = replay_trace(fixture, backend="thread", jobs=4, **kw)
+
+        def records(results):
+            return [
+                (r.model, r.mode, r.makespan, r.weighted_flow, r.n_batches) for r in results
+            ]
+
+        assert records(threaded) == records(serial)

@@ -23,6 +23,11 @@ compared with ``==`` by the regression suites:
   interval boundaries) plus a sha256 over the model handed to HiGHS, on
   synthetic cells, the SWF fixtures under every moldability model, and
   the ILP variant on small instances (``tests/bounds/test_minsum_lp.py``).
+* ``demt_goldens.json`` — DEMT's batch contents (a sha256 over every
+  item's task id, allotment and stack ids), batch starts, ``K``, the
+  ``C*max`` estimate, the schedule's sha256 and the shuffle gain, on the
+  four families up to n=1000, the trade-off knobs, the two ablation
+  engines and a 3000-job archive (``tests/algorithms/test_demt.py``).
 
 Regenerate ONLY when an intentional behavioral change is made (and say so
 in the commit message):
@@ -456,6 +461,111 @@ def minsum_lp_golden_cells() -> list[dict]:
     return cells
 
 
+DEMT_GOLDEN_PATH = Path(__file__).with_name("demt_goldens.json")
+
+#: Frozen DEMT corpus.  Each cell names its instance (a generated family
+#: at ``(n, m)``, or the synthesized archive under a moldability model),
+#: its engine and the engine's knobs; changing any of it invalidates the
+#: file.
+DEMT_SIZES = ((25, 13), (400, 200), (1000, 64))  # (n, m)
+DEMT_KNOBS = (
+    {"small_threshold_factor": 0.25},
+    {"small_threshold_factor": 1.0},
+    {"small_threshold_factor": 1e-12},
+    {"batch_ordering": "weight"},
+    {"batch_ordering": "duration"},
+    {"batch_ordering": "id"},
+    {"guess_relaxation": 1.5},
+    {"compaction": "shelf"},
+    {"compaction": "pull_forward"},
+)
+#: Knob and ablation-engine cells run on a wide machine with many merged
+#: stacks and on a narrow one that needs the doubling extension.
+DEMT_KNOB_CELLS = (("mixed", 1000, 64), ("mixed", 400, 4))
+DEMT_ABLATION_CELLS = (("mixed", 400, 4), ("cirne", 1000, 64))
+#: The synthesized archive (``synthesize_swf`` kwargs) and its cells.
+DEMT_ARCHIVE = dict(n=3000, m=64, seed=GOLDEN_SEED, load=0.8)
+DEMT_ARCHIVE_CELLS = (("rigid", "DEMT"), ("downey", "DEMT"), ("downey", "GreedyInterval"))
+
+
+def demt_engine(name: str, knobs: dict):
+    """The scheduler of a DEMT golden cell."""
+    from repro.algorithms.demt import DemtScheduler
+    from repro.experiments.ablation import _GreedySelectionDemt
+    from repro.extensions.greedy_interval import GreedyIntervalScheduler
+
+    if name == "DEMT":
+        return DemtScheduler(**knobs)
+    assert not knobs, "the ablation engines take no knobs"
+    return {"GreedyInterval": GreedyIntervalScheduler, "A1-greedy": _GreedySelectionDemt}[
+        name
+    ]()
+
+
+def demt_archive():
+    """The DEMT corpus's archive, parsed from its synthesized SWF text."""
+    import io
+
+    from repro.workloads.trace import load_trace, synthesize_swf
+
+    return load_trace(io.StringIO(synthesize_swf(**DEMT_ARCHIVE)))
+
+
+def batches_sha256(batches) -> str:
+    """sha256 over the ``repr`` of every batch item's ``(batch index,
+    task_id, allotment, stack task ids)``, in batch and item order."""
+    h = hashlib.sha256()
+    for b, batch in enumerate(batches):
+        for it in batch:
+            row = (b, it.task.task_id, it.allotment, tuple(t.task_id for t in it.stack))
+            h.update(repr(row).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def demt_result_doc(result) -> dict:
+    """The recorded fields of one :class:`~repro.algorithms.demt.DemtResult`."""
+    return {
+        "n_batches": len(result.batches),
+        "batches_sha256": batches_sha256(result.batches),
+        "batch_starts": list(result.batch_starts),
+        "K": result.K,
+        "cmax_estimate": result.cmax_estimate,
+        "schedule_sha256": schedule_sha256(result.schedule),
+        "shuffle_improvement": result.shuffle_improvement,
+    }
+
+
+def demt_golden_cells() -> list[dict]:
+    from repro.workloads.trace import trace_instance
+
+    specs = [(kind, n, m, "DEMT", {}) for kind in GOLDEN_FAMILIES for n, m in DEMT_SIZES]
+    specs += [(*cell, "DEMT", knobs) for cell in DEMT_KNOB_CELLS for knobs in DEMT_KNOBS]
+    specs += [
+        (*cell, engine, {})
+        for cell in DEMT_ABLATION_CELLS
+        for engine in ("GreedyInterval", "A1-greedy")
+    ]
+    cells = []
+    for kind, n, m, engine, knobs in specs:
+        inst = generate_workload(kind, n=n, m=m, seed=derive_rng(GOLDEN_SEED, "demt", kind, n, m))
+        result = demt_engine(engine, knobs).schedule_detailed(inst)
+        cells.append(
+            {"source": kind, "model": None, "n": n, "m": m, "engine": engine,
+             "knobs": knobs, **demt_result_doc(result)}
+        )
+    trace = demt_archive()
+    for model, engine in DEMT_ARCHIVE_CELLS:
+        inst = trace_instance(trace, DEMT_ARCHIVE["m"], model, online=False)
+        result = demt_engine(engine, {}).schedule_detailed(inst)
+        cells.append(
+            {"source": "archive", "model": model, "digest": trace.digest,
+             "n": inst.n, "m": inst.m, "engine": engine, "knobs": {},
+             **demt_result_doc(result)}
+        )
+    return cells
+
+
 def main() -> None:
     payload = {
         "_meta": {
@@ -562,6 +672,24 @@ def main() -> None:
     }
     MINSUM_LP_GOLDEN_PATH.write_text(json.dumps(minsum_lp_payload, indent=1) + "\n")
     print(f"wrote {len(minsum_lp_payload['cells'])} LP cells to {MINSUM_LP_GOLDEN_PATH}")
+
+    demt_payload = {
+        "_meta": {
+            "seed": GOLDEN_SEED,
+            "archive": DEMT_ARCHIVE,
+            "comment": (
+                "Bit-exact DEMT runs: batch contents (sha256 over each item's "
+                "batch index, task id, allotment and stack ids), batch starts, "
+                "K, the C*max estimate, the schedule's sha256 over its "
+                "(task_id, start, allotment, end) reprs and the shuffle gain; "
+                "regenerate with tests/data/make_goldens.py only for "
+                "intentional changes."
+            ),
+        },
+        "cells": demt_golden_cells(),
+    }
+    DEMT_GOLDEN_PATH.write_text(json.dumps(demt_payload, indent=1) + "\n")
+    print(f"wrote {len(demt_payload['cells'])} DEMT cells to {DEMT_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
