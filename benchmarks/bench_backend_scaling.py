@@ -2,8 +2,8 @@
 
 The PR-10 thread backend's claim is *zero-copy parallelism*: no pickling,
 no shared-memory staging, no per-worker warmup, with real overlap coming
-from the compiled kernel layer releasing the GIL (``nogil`` numba loops,
-cffi C calls — pinned by ``tests/kernels/test_gil_release.py``).  This
+from the compiled kernel layer releasing the GIL (cffi C calls — pinned
+by ``tests/kernels/test_gil_release.py``).  This
 bench races the three backends on the same campaigns and emits
 ``BENCH_PR10.json``:
 

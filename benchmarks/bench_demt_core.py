@@ -1,11 +1,11 @@
 """DEMT algorithm core — kernelized inner loops + batched C*max probes.
 
-The PR-6 core changes live below every campaign: the dual approximation
-evaluates probe *vectors* against one shared areas matrix, and the three
-inner loops that dominate DEMT end-to-end time (max-weight knapsack DP +
-reconstruction, binary-choice min-work DP, Graham event loop) dispatch
-through :mod:`repro.kernels` (compiled cffi/numba backends when the
-toolchain is present, pure NumPy otherwise — all bit-identical).
+The PR-6 core changes live below every campaign: the inner loops that
+dominate DEMT end-to-end time (max-weight knapsack DP + reconstruction,
+binary-choice min-work DP, Graham event loop, and since the compiled
+probes also the dual approximation's one-λ sweep) dispatch through
+:mod:`repro.kernels` (the compiled cffi backend when the toolchain is
+present, pure NumPy otherwise — bit-identical).
 
 This bench measures the headline at replay scale: one n = 20k synthetic
 archive window (m = 64, load 1.0, rigid, online batch mode) with DEMT as

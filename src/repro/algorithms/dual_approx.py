@@ -27,6 +27,19 @@ bound):
    :func:`repro.algorithms.knapsack.knapsack_min_work`) therefore yields a
    value ``W*``; ``W* > m λ`` certifies infeasibility.
 
+Search: starting from the closed-form floor ``max(max_i min_k p_i(k),
+W_min / m)``, double until a guess is accepted, then bisect the bracket
+until it is within ``rel_tol`` — one ``λ`` at a time, exactly the probe
+sequence of the seed search (``reference_dual_approximation``).  Each
+probe is one compiled sweep over the time matrix
+(:func:`repro.kernels.dual_sweep_core`: minimal allotments and areas under
+``λ`` and ``λ/2``) plus a value-only decision (:func:`_decide`) that
+settles most guesses with two sums and runs the min-work DP
+(:func:`repro.kernels.knapsack_min_work_value_core`) otherwise.  The
+accepted ``λ*`` is checked once more with the reconstructing DP
+(:func:`repro.kernels.knapsack_min_work_core`) to get the shelf
+assignment.
+
 Construction for an accepted ``λ``: big-shelf tasks start at time 0 with
 their minimal allotments (their widths fit in ``m`` by the knapsack); the
 small-shelf tasks are list-scheduled behind them in decreasing-duration
@@ -38,15 +51,15 @@ and the shelf ordering).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.algorithms.knapsack import knapsack_min_work, knapsack_min_work_value
 from repro.algorithms.list_scheduling import ListItem, list_schedule
-from repro.core.allotment import minimal_allotments, minimal_area_allotments
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import TIME_EPS
@@ -71,9 +84,6 @@ __all__ = ["DualApproxResult", "dual_approximation", "feasibility_check"]
 _BUDGET_EPS = TIME_EPS / 1000.0
 _SUM_GUARD = TIME_EPS
 
-#: Doubling guesses evaluated per sweep while growing the bracket.
-_GROWTH_CHUNK = 8
-
 
 @dataclass(frozen=True)
 class DualApproxResult:
@@ -86,7 +96,9 @@ class DualApproxResult:
         fails a necessary feasibility condition.
     lam:
         The accepted target ``λ*`` (the paper's "approximate C*max" that
-        seeds the DEMT batch geometry).  ``lam / lower_bound ≤ 1 + rel_tol``.
+        seeds the DEMT batch geometry).  ``lam / lower_bound ≤ 1 + rel_tol``
+        whenever the bisection closes within ``max_iter`` steps (see
+        :func:`dual_approximation`).
     allotments:
         Mapping ``task_id -> k`` chosen at ``λ*`` (big-shelf tasks get their
         minimal allotment for ``λ*``, small-shelf tasks for ``λ*/2``).
@@ -129,23 +141,15 @@ def feasibility_check(instance: Instance, lam: float) -> tuple[bool, np.ndarray,
     """
     if lam <= 0:
         return False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    tm = instance.times_matrix
     m = instance.m
-
-    g_big = minimal_allotments(tm, lam)  # 0 = cannot meet lam at all
+    # g_big = 0: cannot meet lam at all; g_small = 0: cannot be a small task.
+    g_big, g_small, work_big, work_small = kernels.dual_sweep_core(
+        instance.times_matrix, lam
+    )
     if (g_big == 0).any():
         return False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    g_small = minimal_allotments(tm, lam / 2.0)  # 0 = cannot be a small task
-    am = instance.areas_matrix
-    work_big = minimal_area_allotments(tm, lam, areas_matrix=am)
-    work_small = minimal_area_allotments(tm, lam / 2.0, areas_matrix=am)
 
-    in_big, total = knapsack_min_work(
-        work_a=work_big,
-        cost_a=g_big.astype(np.float64),
-        work_b=work_small,
-        m=m,
-    )
+    in_big, total = knapsack_min_work(work_a=work_big, cost_a=g_big, work_b=work_small, m=m)
     if not np.isfinite(total) or total > m * lam * (1.0 + _BUDGET_EPS):
         return False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
     allot = np.where(in_big, g_big, g_small).astype(np.int64)
@@ -191,41 +195,19 @@ def _decide(
     return np.isfinite(total) and total <= budget
 
 
-def _batch_feasible(instance: Instance, lams: list[float]) -> list[bool]:
-    """Value-only feasibility for several targets in one vectorised sweep.
-
-    The admissibility and minimal-area scans run once over a λ-axis
-    instead of once per guess; the per-λ decision then reads row ``l`` of
-    the λ-major ``(L, n)`` results.  Rows are C-contiguous, so the row
-    sums and the DP inputs see exactly the floats the one-λ-at-a-time
-    path produced — probe outcomes are decision-for-decision identical.
-    """
+def _probe(instance: Instance, lam: float) -> bool:
+    """Value-only feasibility of one guess: one sweep, one decision."""
     state = obs.ACTIVE
     if state is None:
-        return _batch_feasible_impl(instance, lams)
-    state.count("dual.probes", len(lams))
-    state.observe("dual.probe_batch", len(lams))
-    with state.span("dual.batch_feasible", "kernel"):
-        return _batch_feasible_impl(instance, lams)
+        return _probe_impl(instance, lam)
+    state.count("dual.probes")
+    with state.span("dual.probe", "kernel"):
+        return _probe_impl(instance, lam)
 
 
-def _batch_feasible_impl(instance: Instance, lams: list[float]) -> list[bool]:
-    lam_arr = np.asarray(lams, dtype=np.float64)
-    tm = instance.times_matrix
-    m = instance.m
-    am = instance.areas_matrix
-    g_big = minimal_allotments(tm, lam_arr)
-    work_big = minimal_area_allotments(tm, lam_arr, areas_matrix=am)
-    work_small = minimal_area_allotments(tm, lam_arr / 2.0, areas_matrix=am)
-    return [
-        _decide(m, lam, g_big[l], work_big[l], work_small[l])
-        for l, lam in enumerate(lam_arr.tolist())
-    ]
-
-
-def _is_feasible(instance: Instance, lam: float) -> bool:
-    """Boolean-only :func:`feasibility_check` (no assignment reconstruction)."""
-    return _batch_feasible(instance, [lam])[0]
+def _probe_impl(instance: Instance, lam: float) -> bool:
+    g_big, _, work_big, work_small = kernels.dual_sweep_core(instance.times_matrix, lam)
+    return _decide(instance.m, lam, g_big, work_big, work_small)
 
 
 def dual_approximation(
@@ -238,8 +220,19 @@ def dual_approximation(
 
     ``rel_tol`` controls the gap between the certified lower bound and the
     accepted ``λ*``; the default (0.1%) is far below the algorithmic
-    approximation factors at play.
+    approximation factors at play.  ``max_iter`` caps the doubling phase
+    and the bisection phase separately.  The gap ``lam / lower_bound ≤ 1 +
+    rel_tol`` holds only when the bisection closes within ``max_iter``
+    steps; a smaller cap returns a sound but looser bracket (``max_iter=1``
+    stops after one bisection step).  Raises :class:`ValueError` for a
+    non-finite or non-positive ``rel_tol`` or ``max_iter < 1``, and
+    :class:`SchedulingError` when ``max_iter`` doublings find no feasible
+    ``λ``.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     state = obs.ACTIVE
     if state is None:
         return _dual_approximation_impl(instance, rel_tol=rel_tol, max_iter=max_iter)
@@ -264,75 +257,28 @@ def _dual_approximation_impl(
     # Probe with the value-only test; the accepted λ* is rechecked once in
     # full below to reconstruct the shelf assignment (deterministic, so
     # this splits the seed's combined probe without changing any outcome).
-    #
-    # Probes are issued in vectorised batches and the sequential decision
-    # tree is replayed over the results, so the bracket evolution, the
-    # max_iter accounting and the accepted λ* are bit-identical to the
-    # one-probe-at-a-time search.  First sweep: the closed-form floor plus
-    # a chunk of doubling guesses (built by repeated doubling, the exact
-    # floats the sequential growth loop would form).
-    cands = [lo]
-    h = lo * 2.0
-    for _ in range(_GROWTH_CHUNK):
-        cands.append(h)
-        h *= 2.0
-    feas = _batch_feasible(instance, cands)
-    if feas[0]:
+    # The probes are the seed search's, in its order.
+    if _probe(instance, lo):
         # The closed-form bound itself passes the test: accept it directly
         # (searching below `lo` is pointless — it is already certified).
         lam = lo
     else:
-        # Growth: first accepted doubling wins; each inspected guess
-        # counts against max_iter exactly like a sequential probe.
-        first = None
-        consumed = 0
-        k = 1
-        while first is None:
-            while k < len(cands):
-                if consumed >= max_iter:  # pragma: no cover - defensive
-                    raise SchedulingError(
-                        "dual approximation did not find a feasible lambda"
-                    )
-                consumed += 1
-                if feas[k]:
-                    first = k
-                    break
-                k += 1
-            if first is None:
-                ext = []
-                for _ in range(_GROWTH_CHUNK):
-                    ext.append(h)
-                    h *= 2.0
-                feas.extend(_batch_feasible(instance, ext))
-                cands.extend(ext)
-        lo = cands[first - 1]
-        hi = cands[first]
-        # Shrink the bracket [lo, hi]: three midpoints per sweep cover two
-        # sequential bisection steps — m2 is the immediate midpoint and
-        # m1/m3 the exact expressions the follow-up step computes after an
-        # accept/reject of m2 (0.5*(lo+m2) and 0.5*(m2+hi)).  Termination
-        # is re-tested before every consumed probe, as the sequential loop
-        # tests it before every iteration.
-        iters = 0
-        while iters < max_iter and hi - lo > rel_tol * lo:
-            m2 = 0.5 * (lo + hi)
-            m1 = 0.5 * (lo + m2)
-            m3 = 0.5 * (m2 + hi)
-            f2, f1, f3 = _batch_feasible(instance, [m2, m1, m3])
-            if f2:
-                hi = m2
-                nxt_mid, nxt_f = m1, f1
-            else:
-                lo = m2
-                nxt_mid, nxt_f = m3, f3
-            iters += 1
-            if iters >= max_iter or hi - lo <= rel_tol * lo:
+        hi = lo * 2.0
+        for _ in range(max_iter):
+            if _probe(instance, hi):
                 break
-            if nxt_f:
-                hi = nxt_mid
+            lo = hi
+            hi *= 2.0
+        else:
+            raise SchedulingError("dual approximation did not find a feasible lambda")
+        for _ in range(max_iter):
+            if hi - lo <= rel_tol * lo:
+                break
+            mid = 0.5 * (lo + hi)
+            if _probe(instance, mid):
+                hi = mid
             else:
-                lo = nxt_mid
-            iters += 1
+                lo = mid
         lam = hi
 
     feasible, in_big, allot = feasibility_check(instance, lam)

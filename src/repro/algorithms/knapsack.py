@@ -13,7 +13,7 @@ complexity is ``O(n m)``.
 This module implements exactly that dynamic program (vectorised over the
 capacity axis) plus the choice reconstruction the paper leaves implicit.
 The hot DP loops are dispatched through :mod:`repro.kernels` (pure-NumPy
-fallback, optional compiled cffi/numba backends — all bit-identical).
+reference, optional compiled cffi backend — bit-identical).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import kernels
 
 __all__ = [
     "KnapsackItem",
@@ -166,52 +166,20 @@ def knapsack_min_work(
         raise ValueError("work_a, cost_a and work_b must have the same length")
     if m < 0:
         raise ValueError(f"capacity must be non-negative, got {m}")
-    # This reconstructing DP runs in-module (the value-only variant goes
-    # through the kernel dispatch, which tallies itself).
-    state = obs.ACTIVE
-    if state is not None:
-        state.count("kernel.min_work_calls")
-        state.count("kernel.dp_cells", n * (m + 1))
-
-    INF = np.inf
-    # dp[q] = min work with big-shelf width exactly <= q.  The row loop is
-    # inherently sequential, so the speed comes from reusing two scratch
-    # buffers (no allocations inside the loop) and from collapsing the
-    # select into an elementwise minimum: take_a = via_a < via_b makes
-    # np.where(take_a, via_a, via_b) exactly min(via_a, via_b).
-    dp = np.zeros(m + 1)
-    choice = np.zeros((n, m + 1), dtype=bool)  # True = option A
-    via_a = np.empty(m + 1)
-    via_b = np.empty(m + 1)
-    for i in range(n):
-        a_cost = int(cost_a[i])
-        if work_a[i] >= work_b[i]:
-            # Option A can never strictly win: dp is non-increasing in the
-            # capacity, so via_a(q) = dp(q - c) + work_a >= dp(q) + work_b
-            # = via_b(q).  The row collapses to a constant shift (and the
-            # strict `<` of the full update leaves choice[i] all False).
-            np.add(dp, work_b[i], out=dp)
-            continue
-        np.add(dp, work_b[i], out=via_b)
-        if a_cost <= m and np.isfinite(work_a[i]):
-            via_a[:a_cost] = INF
-            np.add(dp[: m + 1 - a_cost], work_a[i], out=via_a[a_cost:])
-        else:
-            via_a[:] = INF
-        np.less(via_a, via_b, out=choice[i])
-        np.minimum(via_a, via_b, out=dp)
-
-    total = float(dp[m])
-    if not np.isfinite(total):
-        return np.zeros(n, dtype=bool), INF
-    # Reconstruct from capacity m.
-    q = m
-    in_a = np.zeros(n, dtype=bool)
-    for i in range(n - 1, -1, -1):
-        if choice[i, q]:
-            in_a[i] = True
-            q -= int(cost_a[i])
-    return in_a, total
+    # A non-finite cost has no int64 value, and the DP walks capacities
+    # back by the cost: reject both before dispatch, on every backend.
+    if n and not (np.isfinite(cost_a).all() and (cost_a >= 0).all()):
+        raise ValueError("cost_a must be finite and non-negative")
+    # dp[q] = min work with big-shelf width exactly <= q, walked back from
+    # capacity m through the strict via_a < via_b choices; runs through
+    # the kernel layer (bit-identical across backends).
+    return kernels.knapsack_min_work_core(
+        np.ascontiguousarray(work_a, dtype=np.float64),
+        # float -> int64 truncates toward zero, same as the old int(c).
+        np.ascontiguousarray(cost_a, dtype=np.int64),
+        np.ascontiguousarray(work_b, dtype=np.float64),
+        m,
+    )
 
 
 def knapsack_min_work_value(

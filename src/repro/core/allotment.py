@@ -49,25 +49,12 @@ def minimal_allotment(task: MoldableTask, deadline: float, m: int | None = None)
     return int(np.argmax(ok)) + 1
 
 
-def minimal_allotments(
-    times_matrix: np.ndarray, deadline: float | np.ndarray
-) -> np.ndarray:
+def minimal_allotments(times_matrix: np.ndarray, deadline: float) -> np.ndarray:
     """Vectorised :func:`minimal_allotment` over an ``(n, m)`` time matrix.
 
-    ``deadline`` is a scalar or a 1-D λ-axis of length ``L``.  Returns an
-    ``(n,)`` int array for a scalar — ``0`` encodes "no feasible allotment"
-    (instead of ``None``) so the result stays a flat array — or an
-    ``(L, n)`` λ-major array whose row ``l`` is bit-identical to the scalar
-    call at ``deadline[l]`` (the dual approximation probes several λ
-    guesses per sweep through this).
+    Returns an ``(n,)`` int array; ``0`` encodes "no feasible allotment"
+    (instead of ``None``) so the result stays a flat array.
     """
-    if np.ndim(deadline) > 0:
-        lam = np.asarray(deadline, dtype=np.float64)
-        ok = times_matrix[None, :, :] <= lam[:, None, None]
-        any_ok = ok.any(axis=2)
-        allot = ok.argmax(axis=2) + 1
-        allot[~any_ok] = 0
-        return allot.astype(np.int64)
     ok = times_matrix <= deadline
     any_ok = ok.any(axis=1)
     # argmax returns 0 for all-False rows; mask those to 0 afterwards.
@@ -96,35 +83,14 @@ def minimal_area_allotment(
     return k, float(areas[k - 1])
 
 
-def minimal_area_allotments(
-    times_matrix: np.ndarray,
-    deadline: float | np.ndarray,
-    *,
-    areas_matrix: np.ndarray | None = None,
-) -> np.ndarray:
+def minimal_area_allotments(times_matrix: np.ndarray, deadline: float) -> np.ndarray:
     """Vectorised minimal feasible area per task (``+inf`` if infeasible).
 
     ``times_matrix`` is the ``(n, m)`` matrix of ``p_i(k)``; the result is an
     ``(n,)`` float array of ``S_{i, j}`` values for the interval whose upper
-    end is ``deadline``.  ``deadline`` may also be a 1-D λ-axis of length
-    ``L``, giving an ``(L, n)`` λ-major result whose rows match the scalar
-    calls bit-for-bit (the per-row min reduces the same ``m``-slices in the
-    same order).  Callers probing many deadlines (the dual approximation's
-    binary search) pass the precomputed ``Instance.areas_matrix`` to skip
-    rebuilding the ``k * p_i(k)`` product.
+    end is ``deadline``.  (The dual approximation's probes take both
+    minimal allotments and areas, under ``λ`` and ``λ/2``, from one kernel
+    sweep instead: :func:`repro.kernels.dual_sweep_core`.)
     """
-    if areas_matrix is None:
-        n, m = times_matrix.shape
-        ks = np.arange(1, m + 1, dtype=np.float64)
-        areas_matrix = times_matrix * ks
-    if np.ndim(deadline) > 0:
-        lam = np.asarray(deadline, dtype=np.float64)
-        return np.min(
-            np.broadcast_to(areas_matrix, (lam.size,) + areas_matrix.shape),
-            axis=2,
-            where=times_matrix[None, :, :] <= lam[:, None, None],
-            initial=np.inf,
-        )
-    return np.min(
-        areas_matrix, axis=1, where=times_matrix <= deadline, initial=np.inf
-    )
+    ks = np.arange(1, times_matrix.shape[1] + 1, dtype=np.float64)
+    return np.min(times_matrix * ks, axis=1, where=times_matrix <= deadline, initial=np.inf)

@@ -259,20 +259,6 @@ class Instance:
         return out
 
     @cached_property
-    def areas_matrix(self) -> np.ndarray:
-        """Dense ``(n, m)`` matrix of areas ``k * p_i(k)`` (``+inf`` where
-        the allotment is forbidden).
-
-        Cached because the dual-approximation binary search evaluates
-        masked area minima at every probe; rebuilding the product there
-        dominated the search's cost.
-        """
-        ks = np.arange(1, self.m + 1, dtype=np.float64)
-        out = self.times_matrix * ks
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def weights(self) -> np.ndarray:
         """``(n,)`` vector of task weights."""
         out = np.array([t.weight for t in self._tasks], dtype=np.float64)

@@ -78,7 +78,7 @@ def graham_starts(
     which callers preserve so downstream float summations stay identical.
 
     The event loop itself lives in :mod:`repro.kernels` (pure-NumPy
-    fallback, optional compiled cffi/numba backends, all bit-identical).
+    reference, optional compiled cffi backend, bit-identical).
     """
     n = len(allotments)
     if n == 0:

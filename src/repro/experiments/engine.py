@@ -916,10 +916,10 @@ class ThreadBackend:
 
     Zero-copy by construction: ``fn`` and the items are shared objects —
     nothing pickles, nothing stages through shared memory, and there is
-    no per-worker warmup (the process's imports, JIT artifacts and kernel
+    no per-worker warmup (the process's imports, compiled kernels and kernel
     backend selection are already live).  Real parallelism comes from the
     compiled kernel layer releasing the GIL (:mod:`repro.kernels` with
-    the ``cffi``/``numba`` backends; NumPy ufuncs release it too), so
+    the ``cffi`` backend; NumPy ufuncs release it too), so
     kernel-bound cells overlap; pure-Python cell families still
     interleave correctly, just without speedup.  Result order matches
     item order; records are bit-identical to the serial backend because

@@ -1,36 +1,36 @@
 """Pluggable compiled kernels for the DEMT algorithm core.
 
-The three inner loops that dominate DEMT end-to-end time — the max-weight
+The inner loops that dominate DEMT end-to-end time — the max-weight
 knapsack DP + reconstruction, the binary-choice min-work DP of the dual
-approximation, and the Graham list-scheduling event loop — live behind
-this package's dispatch layer.  Three interchangeable backends implement
-them:
+approximation (value only, and with reconstruction), the dual
+approximation's one-λ sweep over the time matrix, and the Graham
+list-scheduling event loop — live behind this package's dispatch layer.
+Two interchangeable backends implement them:
 
 ``numpy``
-    The incumbent pure-NumPy/Python implementations (always available).
+    The incumbent pure-NumPy/Python implementations (always available,
+    the reference).
 ``cffi``
     The same loops as C, compiled on first import via :mod:`cffi` and a C
     toolchain (both optional), cached on disk by source hash.
-``numba``
-    The same loops as ``@njit`` functions (requires :mod:`numba`,
-    optional; JIT artifacts disk-cached).
 
-Every backend preserves the incumbent float-operation order, so schedules
+Both backends preserve the incumbent float-operation order, so schedules
 and feasibility decisions are **bit-identical** across backends — the
 golden corpora and the differential suites hold with kernels on and off.
-The suite in ``tests/kernels/`` fuzzes all importable backends against
-each other and against the seed oracles of ``algorithms/reference.py``.
+The suite in ``tests/kernels/`` fuzzes every importable backend against
+the NumPy reference and against the seed oracles of
+``algorithms/reference.py``.
 
 Selection: the ``REPRO_KERNELS`` environment variable (``numpy`` |
-``cffi`` | ``numba``; unset/``auto`` picks the fastest importable backend
-in the order numba, cffi, numpy).  An explicitly requested backend that
-fails to import falls back to NumPy with a :class:`RuntimeWarning` —
-numbers are identical either way, only speed differs.  Tests can swap
-backends at runtime via :func:`set_backend`.
+``cffi``; unset/``auto`` picks ``cffi`` when it imports, else NumPy).  An
+explicitly requested backend that fails to import falls back to NumPy
+with a :class:`RuntimeWarning`, and so does an unknown name — numbers are
+identical either way, only speed differs.  Tests can swap backends at
+runtime via :func:`set_backend`.
 
 Each candidate backend is smoke-tested on import against the NumPy
 reference on tiny fixed inputs; a backend that returns different bits is
-rejected (fall through to the next candidate) rather than trusted.
+rejected (fall back to NumPy) rather than trusted.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ __all__ = [
     "set_backend",
     "knapsack_select_core",
     "knapsack_min_work_value_core",
+    "knapsack_min_work_core",
+    "dual_sweep_core",
     "graham_starts_core",
 ]
 
-#: Backend preference for auto-selection (first importable wins).
-_AUTO_ORDER = ("numba", "cffi")
-_KNOWN = ("numpy", "cffi", "numba")
+_KNOWN = ("numpy", "cffi")
 
 _loaded: dict[str, object] = {"numpy": _numpy_backend}
 _failed: dict[str, str] = {}
@@ -79,6 +79,23 @@ def _smoke(mod) -> None:
     got_v = mod.knapsack_min_work_value_core(work_a, cost_a, work_b, 4)
     if not (got_v == ref_v or (np.isnan(got_v) and np.isnan(ref_v))):
         raise ImportError(f"{mod.name} min_work_value mismatch: {got_v} != {ref_v}")
+    # The reconstruction on the feasible first three rows (one option-A
+    # pick, two collapsed rows).
+    args = (work_a[:3], cost_a[:3], work_b[:3], 4)
+    ref_r = _numpy_backend.knapsack_min_work_core(*args)
+    got_r = mod.knapsack_min_work_core(*args)
+    if got_r[1] != ref_r[1] or not np.array_equal(got_r[0], ref_r[0]):
+        raise ImportError(f"{mod.name} min_work mismatch: {got_r} != {ref_r}")
+
+    # One tie at lam and one at lam / 2, a forbidden allotment and a
+    # non-monotone row.
+    times = np.array(
+        [[4.0, 2.0, 1.5], [np.inf, 3.0, 2.5], [6.0, 1.0, 5.0]], dtype=np.float64
+    )
+    ref_s = _numpy_backend.dual_sweep_core(times, 4.0)
+    got_s = mod.dual_sweep_core(times, 4.0)
+    if any(a.tobytes() != b.tobytes() for a, b in zip(got_s, ref_s)):
+        raise ImportError(f"{mod.name} dual_sweep mismatch: {got_s} != {ref_s}")
 
     ga = np.array([2, 1, 3, 1, 2], dtype=np.int64)
     gd = np.array([3.0, 5.0, 1.0, 1.0, 2.0], dtype=np.float64)
@@ -101,10 +118,8 @@ def load_backend(name: str):
     if name not in _KNOWN:
         raise ValueError(f"unknown kernel backend {name!r}; known: {_KNOWN}")
     try:
-        if name == "cffi":
-            from repro.kernels import _cffi as mod
-        else:
-            from repro.kernels import _numba as mod
+        from repro.kernels import _cffi as mod
+
         _smoke(mod)
     except Exception as exc:  # noqa: BLE001 - record and fall through
         _failed[name] = str(exc)
@@ -121,11 +136,7 @@ def available_backend_names() -> tuple[str, ...]:
 def _resolve_initial():
     env = os.environ.get("REPRO_KERNELS", "").strip().lower()
     if env in ("", "auto"):
-        for name in _AUTO_ORDER:
-            mod = load_backend(name)
-            if mod is not None:
-                return mod
-        return _numpy_backend
+        return load_backend("cffi") or _numpy_backend
     if env == "numpy":
         return _numpy_backend
     if env in _KNOWN:
@@ -155,7 +166,7 @@ ACTIVE = _resolve_initial()
 
 
 def backend_name() -> str:
-    """Name of the active backend (``numpy`` | ``cffi`` | ``numba``)."""
+    """Name of the active backend (``numpy`` | ``cffi``)."""
     return ACTIVE.name
 
 
@@ -198,6 +209,23 @@ def knapsack_min_work_value_core(work_a, cost_a, work_b, m):
         state.count("kernel.min_work_value_calls")
         state.count("kernel.dp_cells", len(work_a) * (m + 1))
     return ACTIVE.knapsack_min_work_value_core(work_a, cost_a, work_b, m)
+
+
+def knapsack_min_work_core(work_a, cost_a, work_b, m):
+    """Dispatch: binary-choice min-work knapsack with reconstruction."""
+    state = obs.ACTIVE
+    if state is not None:
+        state.count("kernel.dispatch." + ACTIVE.name)
+        state.count("kernel.min_work_calls")
+        state.count("kernel.dp_cells", len(work_a) * (m + 1))
+    return ACTIVE.knapsack_min_work_core(work_a, cost_a, work_b, m)
+
+
+def dual_sweep_core(times_matrix, lam):
+    """Dispatch: one-λ dual-approximation sweep (minimal allotments and
+    areas under ``lam`` and ``lam / 2``).  Not tallied here: its caller,
+    the dual approximation's probe, counts and times every call."""
+    return ACTIVE.dual_sweep_core(times_matrix, lam)
 
 
 def graham_starts_core(allotments, durations, m, start_time, cutoff):

@@ -1,4 +1,4 @@
-"""cffi kernel backend: the three inner loops as compiled C.
+"""cffi kernel backend: the DEMT inner loops as compiled C.
 
 The C code replicates the NumPy backend's float-op order exactly — IEEE
 double adds and compares in the same sequence — so every DP value, every
@@ -12,7 +12,12 @@ matter:
   explicitly;
 * the min-work DP mirrors the ``wa >= wb`` shift collapse and the
   ``via_a``/``via_b`` elementwise minimum (again descending, again the
-  pre-item read set);
+  pre-item read set); the reconstructing variant records the strict
+  ``via_a < via_b`` choice bits, packed like the knapsack's keep bits,
+  and walks them back from capacity ``m``;
+* the dual sweep forms each area as ``(double)k * p`` in the loop, the
+  same IEEE product as ``times_matrix * arange(1, m + 1)``; comparisons
+  and minima are exact, so it needs no areas matrix;
 * the Graham heap orders by end time only; Python's ``(end, allot)``
   tuple heap breaks end-time ties by allotment, but tied completions are
   always drained together before the next placement, so the freed-count
@@ -25,8 +30,8 @@ process-pool workers reuse the cached artifact.  Any build or toolchain
 failure raises ``ImportError`` — the package then falls back to NumPy.
 
 **GIL release.**  cffi calls C functions with the GIL *released* (API
-mode drops it around every call into ``lib``), and these three entry
-points touch only caller-owned NumPy buffers — no Python API, no
+mode drops it around every call into ``lib``), and these entry points
+touch only caller-owned NumPy buffers — no Python API, no
 callbacks — so concurrent kernel calls from different threads genuinely
 overlap.  The campaign engine's thread backend depends on this for real
 parallelism on kernel-bound cells; ``tests/kernels/test_gil_release.py``
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import os
 import sys
 import tempfile
@@ -52,6 +58,8 @@ __all__ = [
     "name",
     "knapsack_select_core",
     "knapsack_min_work_value_core",
+    "knapsack_min_work_core",
+    "dual_sweep_core",
     "graham_starts_core",
 ]
 
@@ -65,6 +73,12 @@ int64_t repro_knapsack_select(const int64_t *allot, const double *weights,
 void repro_min_work_value(const double *work_a, const int64_t *cost_a,
                           const double *work_b, int64_t n, int64_t m,
                           double *dp);
+int repro_min_work(const double *work_a, const int64_t *cost_a,
+                   const double *work_b, int64_t n, int64_t m, double *dp,
+                   uint8_t *in_a);
+void repro_dual_sweep(const double *times, int64_t n, int64_t m, double lam,
+                      int64_t *g_big, int64_t *g_small, double *work_big,
+                      double *work_small);
 int64_t repro_graham(const int64_t *allot, const double *dur, int64_t n,
                      int64_t m, double start_time, double cutoff,
                      int use_cutoff, double *starts, int64_t *order);
@@ -185,6 +199,101 @@ void repro_min_work_value(const double *work_a, const int64_t *cost_a,
             for (int64_t q = 0; q <= m; q++)
                 dp[q] = dp[q] + wb;
         }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Binary-choice min-work knapsack with reconstruction.                */
+/*                                                                     */
+/* The value DP above plus one choice bit per (item, capacity): set    */
+/* where via_a < via_b strictly, packed into n * ceil((m+1)/64) words  */
+/* like the knapsack's keep bits.  Rows the shift collapse or an       */
+/* unusable option A handles keep all-zero bits.  When dp[m] is        */
+/* finite, in_a is walked back from capacity m (costs must be >= 0).   */
+/* Returns 0, or -1 on allocation failure.                             */
+/* ------------------------------------------------------------------ */
+int repro_min_work(const double *work_a, const int64_t *cost_a,
+                   const double *work_b, int64_t n, int64_t m, double *dp,
+                   uint8_t *in_a)
+{
+    int64_t stride = (m + 1 + 63) / 64;
+    uint64_t *choice = calloc((size_t)(n * stride) + 1, sizeof(uint64_t));
+    if (!choice)
+        return -1;
+    for (int64_t q = 0; q <= m; q++)
+        dp[q] = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double wa = work_a[i];
+        double wb = work_b[i];
+        if (wa >= wb) {
+            for (int64_t q = 0; q <= m; q++)
+                dp[q] = dp[q] + wb;
+            continue;
+        }
+        int64_t c = cost_a[i];
+        if (c <= m && isfinite(wa)) {
+            uint64_t *row = choice + i * stride;
+            for (int64_t q = m; q >= c; q--) {
+                double va = dp[q - c] + wa;
+                double vb = dp[q] + wb;
+                if (va < vb)
+                    row[q >> 6] |= (uint64_t)1 << (q & 63);
+                dp[q] = npy_minimum(va, vb);
+            }
+            for (int64_t q = c - 1; q >= 0; q--)
+                dp[q] = dp[q] + wb;
+        } else {
+            for (int64_t q = 0; q <= m; q++)
+                dp[q] = dp[q] + wb;
+        }
+    }
+    if (isfinite(dp[m])) {
+        int64_t q = m;
+        for (int64_t i = n - 1; i >= 0; i--) {
+            if ((choice[i * stride + (q >> 6)] >> (q & 63)) & 1) {
+                in_a[i] = 1;
+                q -= cost_a[i];
+            }
+        }
+    }
+    free(choice);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Dual-approximation sweep: one pass over the row-major (n, m) time   */
+/* matrix gives every task's minimal allotment (0 = none) and minimal  */
+/* area k * p(k) (+inf = none) under lam and under lam / 2.  The area  */
+/* is the same IEEE product as times_matrix * arange(1, m + 1); the    */
+/* first-fit index and the exact minimum match argmax and np.min.      */
+/* The selects are written branch-free (the deadline tests are         */
+/* data-dependent); areas are never NaN, so `<` is an exact minimum.   */
+/* ------------------------------------------------------------------ */
+void repro_dual_sweep(const double *times, int64_t n, int64_t m, double lam,
+                      int64_t *g_big, int64_t *g_small, double *work_big,
+                      double *work_small)
+{
+    double half = lam / 2.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = times + i * m;
+        int64_t gb = 0, gs = 0;
+        double wb = INFINITY, ws = INFINITY;
+        for (int64_t k = 0; k < m; k++) {
+            double p = row[k];
+            double area = (double)(k + 1) * p;
+            int ok_b = p <= lam;
+            int ok_s = p <= half;
+            double ab = ok_b ? area : INFINITY;
+            double as = ok_s ? area : INFINITY;
+            wb = ab < wb ? ab : wb;
+            ws = as < ws ? as : ws;
+            gb = (gb == 0 && ok_b) ? k + 1 : gb;
+            gs = (gs == 0 && ok_s) ? k + 1 : gs;
+        }
+        g_big[i] = gb;
+        g_small[i] = gs;
+        work_big[i] = wb;
+        work_small[i] = ws;
     }
 }
 
@@ -468,6 +577,59 @@ def knapsack_min_work_value_core(
         _ptr("double *", dp),
     )
     return float(dp[m])
+
+
+def knapsack_min_work_core(
+    work_a: np.ndarray, cost_a: np.ndarray, work_b: np.ndarray, m: int
+) -> tuple[np.ndarray, float]:
+    wa = _f64(work_a)
+    wb = _f64(work_b)
+    cost = _i64(cost_a)
+    n = int(wa.size)
+    # The C walk indexes dp[q - cost] and steps back by the cost.
+    if cost.size != n or wb.size != n:
+        raise ValueError("work_a, cost_a and work_b must have the same length")
+    if n and int(cost.min()) < 0:
+        raise ValueError("cost_a must be non-negative")
+    dp = np.empty(m + 1, dtype=np.float64)
+    in_a = np.zeros(n, dtype=bool)
+    status = _lib.repro_min_work(
+        _ptr("double *", wa),
+        _ptr("int64_t *", cost),
+        _ptr("double *", wb),
+        n,
+        int(m),
+        _ptr("double *", dp),
+        _ptr("uint8_t *", in_a),
+    )
+    if status < 0:  # pragma: no cover - allocation failure
+        raise MemoryError("min-work kernel allocation failed")
+    total = float(dp[m])
+    if not math.isfinite(total):
+        return in_a, math.inf
+    return in_a, total
+
+
+def dual_sweep_core(
+    times_matrix: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    tm = _f64(times_matrix)
+    n, m = tm.shape
+    g_big = np.empty(n, dtype=np.int64)
+    g_small = np.empty(n, dtype=np.int64)
+    work_big = np.empty(n, dtype=np.float64)
+    work_small = np.empty(n, dtype=np.float64)
+    _lib.repro_dual_sweep(
+        _ptr("double *", tm),
+        n,
+        m,
+        float(lam),
+        _ptr("int64_t *", g_big),
+        _ptr("int64_t *", g_small),
+        _ptr("double *", work_big),
+        _ptr("double *", work_small),
+    )
+    return g_big, g_small, work_big, work_small
 
 
 def graham_starts_core(

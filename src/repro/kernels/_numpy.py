@@ -1,12 +1,12 @@
 """Pure-NumPy kernel backend — the always-available reference.
 
-These are the incumbent implementations of the three DEMT inner loops,
-moved verbatim from ``algorithms/knapsack.py`` and ``core/profile.py``
-(same float operations in the same order, so every schedule and every
-feasibility decision is bit-identical to the pre-kernel library).  The
-compiled backends (:mod:`._cffi`, :mod:`._numba`) mirror this float-op
-order exactly; the differential suite in ``tests/kernels/`` pins all
-backends against each other and against ``algorithms/reference.py``.
+These are the incumbent implementations of the DEMT inner loops, moved
+verbatim from ``algorithms/knapsack.py``, ``core/profile.py`` and
+``core/allotment.py`` (same float operations in the same order, so every
+schedule and every feasibility decision is bit-identical to the
+pre-kernel library).  The compiled backend (:mod:`._cffi`) mirrors this
+float-op order exactly; the differential suite in ``tests/kernels/`` pins
+the backends against each other and against ``algorithms/reference.py``.
 
 The one intentional change over the pre-kernel code is the knapsack
 ``keep`` matrix: the old code allocated a fresh ``n × (m+1)`` bool matrix
@@ -30,6 +30,8 @@ __all__ = [
     "name",
     "knapsack_select_core",
     "knapsack_min_work_value_core",
+    "knapsack_min_work_core",
+    "dual_sweep_core",
     "graham_starts_core",
 ]
 
@@ -123,6 +125,83 @@ def knapsack_min_work_value_core(
             via_a[:] = INF
         np.minimum(via_a, via_b, out=dp)
     return float(dp[m])
+
+
+def knapsack_min_work_core(
+    work_a: np.ndarray, cost_a: np.ndarray, work_b: np.ndarray, m: int
+) -> tuple[np.ndarray, float]:
+    """Binary-choice min-work knapsack with reconstruction (``cost_a``
+    int64, non-negative); ``(in_a, total)``, all-False and ``+inf`` when
+    the total is not finite."""
+    n = int(work_a.size)
+    INF = np.inf
+    # dp[q] = min work with big-shelf width exactly <= q.  The row loop is
+    # inherently sequential, so the speed comes from reusing two scratch
+    # buffers (no allocations inside the loop) and from collapsing the
+    # select into an elementwise minimum: take_a = via_a < via_b makes
+    # np.where(take_a, via_a, via_b) exactly min(via_a, via_b).
+    dp = np.zeros(m + 1)
+    choice = np.zeros((n, m + 1), dtype=bool)  # True = option A
+    via_a = np.empty(m + 1)
+    via_b = np.empty(m + 1)
+    wa_list = work_a.tolist()
+    wb_list = work_b.tolist()
+    cost_list = cost_a.tolist()
+    for i in range(n):
+        wa = wa_list[i]
+        wb = wb_list[i]
+        if wa >= wb:
+            # Option A can never strictly win: dp is non-increasing in the
+            # capacity, so via_a(q) = dp(q - c) + wa >= dp(q) + wb = via_b(q).
+            # The row collapses to a constant shift (and the strict `<` of
+            # the full update leaves choice[i] all False).
+            np.add(dp, wb, out=dp)
+            continue
+        a_cost = cost_list[i]
+        np.add(dp, wb, out=via_b)
+        if a_cost <= m and math.isfinite(wa):
+            via_a[:a_cost] = INF
+            np.add(dp[: m + 1 - a_cost], wa, out=via_a[a_cost:])
+        else:
+            via_a[:] = INF
+        np.less(via_a, via_b, out=choice[i])
+        np.minimum(via_a, via_b, out=dp)
+
+    total = float(dp[m])
+    if not math.isfinite(total):
+        return np.zeros(n, dtype=bool), INF
+    # Reconstruct from capacity m.
+    q = m
+    in_a = np.zeros(n, dtype=bool)
+    for i in range(n - 1, -1, -1):
+        if choice[i, q]:
+            in_a[i] = True
+            q -= cost_list[i]
+    return in_a, total
+
+
+def dual_sweep_core(
+    times_matrix: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One dual-approximation sweep over the ``(n, m)`` time matrix.
+
+    Returns ``(g_big, g_small, work_big, work_small)``: every task's
+    minimal allotment (``0`` when none meets the deadline) and minimal
+    area ``k * p(k)`` (``+inf`` when none) under ``lam`` and ``lam / 2``.
+    The areas are formed once per call and shared by both deadlines.
+    """
+    ks = np.arange(1, times_matrix.shape[1] + 1, dtype=np.float64)
+    areas = times_matrix * ks
+    out = []
+    for deadline in (lam, lam / 2.0):
+        ok = times_matrix <= deadline
+        # argmax returns 0 for all-False rows; mask those to 0 afterwards.
+        allot = ok.argmax(axis=1) + 1
+        allot[~ok.any(axis=1)] = 0
+        work = np.min(areas, axis=1, where=ok, initial=np.inf)
+        out.append((allot.astype(np.int64), work))
+    (g_big, work_big), (g_small, work_small) = out
+    return g_big, g_small, work_big, work_small
 
 
 def graham_starts_core(

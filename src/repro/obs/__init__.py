@@ -13,7 +13,7 @@ an ``is``-check, nothing else, when disabled::
 
     state = obs.ACTIVE
     if state is not None:
-        state.count("dual.probes", len(lams))
+        state.count("dual.probes")
 
 That read is the *entire* disabled-mode cost (pinned by
 ``benchmarks/bench_obs_overhead.py``); no dict lookups, no method calls,

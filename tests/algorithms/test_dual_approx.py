@@ -2,22 +2,39 @@
 
 from __future__ import annotations
 
+import json
+import math
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.algorithms import dual_approx, reference
 from repro.algorithms.dual_approx import (
     DualApproxResult,
     dual_approximation,
     feasibility_check,
 )
+from repro.algorithms.reference import reference_dual_approximation
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask
 from repro.core.validation import validate_schedule
+from repro.exceptions import SchedulingError
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_instance, make_task
+from tests.data.make_goldens import dual_golden_instance, dual_result_doc
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+GOLDEN_DOC = json.loads((DATA / "dual_goldens.json").read_text())
+GOLDENS = GOLDEN_DOC["cells"]
+GOLDEN_IDS = [
+    f"{c['source']}{'-' + c['model'] if c['model'] else ''}-n{c['n']}-m{c['m']}" for c in GOLDENS
+]
 
 
 class TestFeasibilityCheck:
@@ -138,3 +155,183 @@ class TestDualApproximation:
         # LB dominates the two closed-form bounds.
         assert res.lower_bound >= inst.max_min_time - 1e-9
         assert res.lower_bound >= inst.min_total_work / m - 1e-9
+
+
+class TestKnobValidation:
+    """``lam / lower_bound <= 1 + rel_tol`` needs a finite positive
+    tolerance and at least one probe per search phase."""
+
+    @staticmethod
+    def _inst():
+        return generate_workload("mixed", n=50, m=16, seed=3)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_rejects_non_finite_or_non_positive_rel_tol(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            dual_approximation(self._inst(), rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            dual_approximation(self._inst(), max_iter=max_iter)
+
+    def test_rejects_before_the_empty_shortcut(self):
+        with pytest.raises(ValueError, match="rel_tol"):
+            dual_approximation(Instance([], 4), rel_tol=math.nan)
+
+    def test_gap_holds_when_the_bisection_closes(self):
+        res = dual_approximation(self._inst())
+        assert res.lower_bound < res.lam <= res.lower_bound * (1 + 1e-3)
+
+    def test_max_iter_one_stops_short_of_the_gap(self):
+        """One bisection step cannot close a doubled bracket: the result
+        stays sound (certified floor, accepted λ) but the documented gap
+        does not hold."""
+        inst = self._inst()
+        res = dual_approximation(inst, max_iter=1)
+        assert res.lam / res.lower_bound == 1.5
+        assert feasibility_check(inst, res.lam)[0]
+        assert not feasibility_check(inst, res.lower_bound)[0]
+
+
+# ---------------------------------------------------------------------- #
+# Golden corpus                                                          #
+# ---------------------------------------------------------------------- #
+class TestGoldenCorpus:
+    """Certified lower bound, accepted λ, allotment/shelf rows and small
+    two-shelf schedules, recorded before the compiled probes and compared
+    at full precision."""
+
+    def test_corpus_covers_families_shapes_and_archive(self):
+        grid = {(c["source"], c["n"], c["m"]) for c in GOLDENS if c["model"] is None}
+        assert {
+            (kind, n, m)
+            for kind in ("weakly_parallel", "highly_parallel", "mixed", "cirne")
+            for n, m in ((25, 13), (400, 200), (1000, 64))
+        } <= grid
+        assert {"ragged", "rigid", "nonmonotone"} <= {source for source, _, _ in grid}
+        assert any(m == 1 for _, _, m in grid)
+        assert {c["model"] for c in GOLDENS if c["source"] == "archive"} == {
+            "rigid", "linear", "downey", "recurrence-highly", "recurrence-weakly"
+        }
+        # Both search paths: the floor accepted at once, and doubling +
+        # bisection (the accepted λ then lies above the certified bound).
+        assert any(c["lam"] == c["lower_bound"] for c in GOLDENS)
+        assert sum(c["lam"] > c["lower_bound"] for c in GOLDENS) >= 8
+        assert sum("schedule_sha256" in c for c in GOLDENS) >= 10
+
+    @pytest.mark.parametrize("cell", GOLDENS, ids=GOLDEN_IDS)
+    def test_dual_reproduces_golden(self, cell):
+        inst = dual_golden_instance(cell)
+        got = dual_result_doc(dual_approximation(inst), inst)
+        meta = {"source", "model", "digest", "n", "m"}
+        # Full precision, no approx; the same fields, schedule included.
+        assert got == {k: v for k, v in cell.items() if k not in meta}
+
+
+# ---------------------------------------------------------------------- #
+# The search probes exactly the reference's λ sequence                  #
+# ---------------------------------------------------------------------- #
+def _searched_lams(inst, **knobs) -> tuple[list[float], list[float]]:
+    """λs the production search decides before its final full check, and
+    λs the seed search hands to its feasibility test (the seed's
+    two-shelf build is skipped: only the search is compared)."""
+    got: list[float] = []
+    want: list[float] = []
+    decide = dual_approx._decide
+    check = reference.reference_feasibility_check
+
+    def record_decide(m, lam, *vectors):
+        got.append(lam)
+        return decide(m, lam, *vectors)
+
+    def record_check(instance, lam):
+        want.append(lam)
+        return check(instance, lam)
+
+    with mock.patch.object(dual_approx, "_decide", record_decide):
+        res = dual_approximation(inst, **knobs)
+    with mock.patch.object(reference, "reference_feasibility_check", record_check), \
+            mock.patch.object(reference, "reference_list_schedule", lambda items, m: None):
+        ref = reference_dual_approximation(inst, **knobs)
+    assert (res.lam, res.lower_bound) == (ref.lam, ref.lower_bound)
+    return got, want
+
+
+@st.composite
+def search_instances(draw):
+    """Object-backed ragged, rigid (``p(1) = +inf``) and non-monotone
+    instances, often with few tasks on a wide machine so the closed-form
+    floor is rejected and the search doubles and bisects."""
+    shape = draw(st.sampled_from(["ragged", "rigid", "nonmonotone"]))
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 14))
+    tasks = []
+    for tid in range(n):
+        seq = draw(st.floats(0.5, 100.0))
+        if shape == "ragged":
+            width = draw(st.integers(1, m + 4))
+            alpha = draw(st.floats(0.0, 1.0))
+            times = [seq / (k ** alpha) for k in range(1, width + 1)]
+        elif shape == "rigid":
+            low = draw(st.integers(min(2, m), m))
+            times = [math.inf] * (low - 1) + [seq] * (m - low + 1)
+        else:
+            times = draw(
+                st.lists(
+                    st.one_of(st.just(math.inf), st.floats(0.5, 100.0)),
+                    min_size=m, max_size=m,
+                )
+            )
+            if all(math.isinf(t) for t in times):
+                times[draw(st.integers(0, m - 1))] = seq
+        tasks.append(MoldableTask(tid, times, weight=1.0))
+    return Instance(tasks, m)
+
+
+class TestSearchPath:
+    @given(inst=search_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_probes_the_reference_sequence(self, inst):
+        got, want = _searched_lams(inst)
+        assert got == want
+
+    @given(
+        inst=search_instances(),
+        rel_tol=st.sampled_from([1e-6, 1e-3, 0.3]),
+        max_iter=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_probes_the_reference_sequence_under_knobs(self, inst, rel_tol, max_iter):
+        try:
+            got, want = _searched_lams(inst, rel_tol=rel_tol, max_iter=max_iter)
+        except SchedulingError:  # max_iter doublings found no feasible λ
+            with pytest.raises(SchedulingError), mock.patch.object(
+                reference, "reference_list_schedule", lambda items, m: None
+            ):
+                reference_dual_approximation(inst, rel_tol=rel_tol, max_iter=max_iter)
+            return
+        assert got == want
+
+    def test_one_probe_counter_and_span_per_lambda(self):
+        inst = dual_golden_instance(
+            next(c for c in GOLDENS if c["source"] == "mixed" and c["n"] == 25)
+        )
+        _, want = _searched_lams(inst)
+        assert len(want) > 1  # the floor is rejected: doubling + bisection
+        state = obs.enable(fresh=True)
+        try:
+            dual_approximation(inst)
+        finally:
+            obs.disable()
+        assert state.counters["dual.probes"] == len(want)
+        probes = [s for s in state.spans if s.name == "dual.probe"]
+        assert len(probes) == len(want)
+        assert all(s.cat == "kernel" for s in probes)
+        assert "dual.probe_batch" not in state.hists
+
+    @pytest.mark.parametrize("cell", GOLDENS, ids=GOLDEN_IDS)
+    def test_golden_cell_probes_the_reference_sequence(self, cell):
+        got, want = _searched_lams(dual_golden_instance(cell))
+        assert got == want
+        assert len(got) == (1 if cell["lam"] == cell["lower_bound"] else len(want))

@@ -28,6 +28,12 @@ compared with ``==`` by the regression suites:
   ``C*max`` estimate, the schedule's sha256 and the shuffle gain, on the
   four families up to n=1000, the trade-off knobs, the two ablation
   engines and a 3000-job archive (``tests/algorithms/test_demt.py``).
+* ``dual_goldens.json`` — the dual approximation's certified lower bound,
+  accepted ``λ`` and a sha256 over its ``(task_id, allotment,
+  in_big_shelf)`` rows (plus the two-shelf schedule's sha256 on the small
+  cells), on the four families up to n=1000, ``m = 1``, object-backed
+  ragged, rigid and non-monotone instances and a 3000-job archive under
+  every moldability model (``tests/algorithms/test_dual_approx.py``).
 
 Regenerate ONLY when an intentional behavioral change is made (and say so
 in the commit message):
@@ -566,6 +572,132 @@ def demt_golden_cells() -> list[dict]:
     return cells
 
 
+DUAL_GOLDEN_PATH = Path(__file__).with_name("dual_goldens.json")
+
+#: Frozen dual-approximation corpus: ``(source, n, m)`` cells, where the
+#: source is a generated family or one of the object-backed shapes of
+#: :func:`dual_object_instance`; plus :data:`DUAL_ARCHIVE` under every
+#: moldability model.  Most generated cells accept the closed-form floor
+#: on the first probe, so the few-tasks-on-a-wide-machine cells and half
+#: of the object-backed ones are picked because their floor is rejected
+#: and the search doubles and bisects.  Cells with
+#: ``n <= DUAL_SCHEDULE_MAX_N`` also pin the lazily built two-shelf
+#: schedule.
+DUAL_SIZES = ((25, 13), (400, 200), (1000, 64))  # (n, m)
+DUAL_OBJECT_SHAPES = ("ragged", "rigid", "nonmonotone")
+DUAL_CELLS = (
+    tuple((kind, n, m) for kind in GOLDEN_FAMILIES for n, m in DUAL_SIZES)
+    + (("weakly_parallel", 10, 64), ("highly_parallel", 10, 64), ("mixed", 40, 200))
+    + (("mixed", 50, 1), ("ragged", 30, 1))
+    + tuple((shape, 60, 16) for shape in DUAL_OBJECT_SHAPES)
+    + (("ragged", 10, 16), ("ragged", 30, 64), ("rigid", 5, 16))
+    + (("nonmonotone", 20, 16), ("nonmonotone", 30, 64))
+)
+DUAL_SCHEDULE_MAX_N = 60
+DUAL_ARCHIVE = dict(n=3000, m=64, seed=200400, load=0.8)
+
+
+def dual_object_instance(shape: str, n: int, m: int):
+    """An object-backed instance the generators never make.
+
+    ``ragged``: vectors shorter and longer than ``m``; ``rigid``: every
+    task needs at least two processors (``p(1) = +inf``), half of them
+    run at exactly one width; ``nonmonotone``: unsorted times with
+    forbidden (``+inf``) allotments.
+    """
+    import numpy as np
+
+    from repro.core.instance import Instance
+    from repro.core.task import MoldableTask
+
+    rng = derive_rng(GOLDEN_SEED, "dual", shape, n, m)
+    tasks = []
+    for tid in range(n):
+        seq = float(rng.uniform(1.0, 100.0))
+        weight = float(rng.uniform(0.5, 10.0))
+        if shape == "ragged":
+            width = int(rng.integers(1, m + 7))
+            times = seq / np.arange(1, width + 1) ** float(rng.uniform(0.0, 1.0))
+        elif shape == "rigid":
+            low = int(rng.integers(2, m + 1)) if m > 1 else 1
+            times = np.full(m, np.inf)
+            if rng.random() < 0.5:
+                times[low - 1] = seq
+            else:
+                ks = np.arange(low, m + 1, dtype=np.float64)
+                times[low - 1 :] = seq / (ks / low) ** float(rng.uniform(0.0, 1.0))
+        else:
+            times = rng.uniform(1.0, 100.0, size=m)
+            times[rng.random(m) < 0.2] = np.inf
+            if np.isinf(times).all():
+                times[int(rng.integers(0, m))] = seq
+        tasks.append(MoldableTask(tid, times, weight=weight))
+    return Instance(tasks, m)
+
+
+def dual_archive():
+    """The dual corpus's archive, parsed from its synthesized SWF text."""
+    import io
+
+    from repro.workloads.trace import load_trace, synthesize_swf
+
+    return load_trace(io.StringIO(synthesize_swf(**DUAL_ARCHIVE)))
+
+
+def dual_golden_instance(cell: dict):
+    """Rebuild the instance of one dual golden cell."""
+    from repro.workloads.trace import trace_instance
+
+    if cell["source"] == "archive":
+        return trace_instance(dual_archive(), DUAL_ARCHIVE["m"], cell["model"], online=False)
+    source, n, m = cell["source"], cell["n"], cell["m"]
+    if source in DUAL_OBJECT_SHAPES:
+        return dual_object_instance(source, n, m)
+    return generate_workload(source, n=n, m=m, seed=derive_rng(GOLDEN_SEED, "dual", source, n, m))
+
+
+def dual_rows_sha256(result, instance) -> str:
+    """sha256 over the ``repr`` of every task's ``(task_id, allotment,
+    in_big_shelf)``, in instance order."""
+    h = hashlib.sha256()
+    for tid in instance.task_ids.tolist():
+        row = (tid, result.allotments[tid], tid in result.big_shelf)
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def dual_result_doc(result, instance) -> dict:
+    """The recorded fields of one :class:`~repro.algorithms.dual_approx.
+    DualApproxResult` (the schedule only on small instances)."""
+    doc = {
+        "lower_bound": result.lower_bound,
+        "lam": result.lam,
+        "rows_sha256": dual_rows_sha256(result, instance),
+    }
+    if instance.n <= DUAL_SCHEDULE_MAX_N:
+        doc["schedule_sha256"] = schedule_sha256(result.schedule)
+    return doc
+
+
+def dual_golden_cells() -> list[dict]:
+    from repro.algorithms.dual_approx import dual_approximation
+    from repro.workloads.trace import MOLDABILITY_MODELS
+
+    specs = [{"source": source, "model": None, "n": n, "m": m} for source, n, m in DUAL_CELLS]
+    digest = dual_archive().digest
+    specs += [
+        {"source": "archive", "model": model, "digest": digest, "n": DUAL_ARCHIVE["n"],
+         "m": DUAL_ARCHIVE["m"]}
+        for model in MOLDABILITY_MODELS
+    ]
+    cells = []
+    for spec in specs:
+        inst = dual_golden_instance(spec)
+        cells.append({**spec, "n": inst.n, **dual_result_doc(dual_approximation(inst), inst)})
+    return cells
+
+
 def main() -> None:
     payload = {
         "_meta": {
@@ -690,6 +822,23 @@ def main() -> None:
     }
     DEMT_GOLDEN_PATH.write_text(json.dumps(demt_payload, indent=1) + "\n")
     print(f"wrote {len(demt_payload['cells'])} DEMT cells to {DEMT_GOLDEN_PATH}")
+
+    dual_payload = {
+        "_meta": {
+            "seed": GOLDEN_SEED,
+            "archive": DUAL_ARCHIVE,
+            "comment": (
+                "Bit-exact dual approximations: certified lower bound, "
+                "accepted lambda, a sha256 over every task's (task_id, "
+                "allotment, in_big_shelf) repr and, on small cells, the "
+                "two-shelf schedule's sha256; regenerate with "
+                "tests/data/make_goldens.py only for intentional changes."
+            ),
+        },
+        "cells": dual_golden_cells(),
+    }
+    DUAL_GOLDEN_PATH.write_text(json.dumps(dual_payload, indent=1) + "\n")
+    print(f"wrote {len(dual_payload['cells'])} dual cells to {DUAL_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Regression pins for the latent DEMT-core bugs fixed alongside the
 kernel layer: the extension-batch doubling overflow, the quadratic
 knapsack keep matrix, and the hardcoded epsilon guard bands of the dual
-approximation."""
+approximation; plus the dual's one-λ probe against its full check."""
 
 from __future__ import annotations
 
@@ -115,20 +115,23 @@ class TestGuardBands:
 
 
 # --------------------------------------------------------------------- #
-# Batched probes == scalar probes                                       #
+# One-λ probes == the full check                                        #
 # --------------------------------------------------------------------- #
-class TestBatchedProbes:
+class TestProbes:
+    @pytest.mark.parametrize("backend", kernels.available_backend_names())
     @pytest.mark.parametrize("kind", ["mixed", "highly_parallel", "sequential_only"])
-    def test_batch_feasible_matches_scalar_sweep(self, kind):
+    def test_probe_matches_full_check(self, kind, backend):
+        kernels.set_backend(backend)
         inst = generate_workload(kind, n=16, m=6, seed=4)
         res = dual_approximation(inst)
         lams = [
             res.lam * f
             for f in (0.25, 0.5, 0.9, 0.999999, 1.0, 1.000001, 1.5, 4.0)
         ]
-        batched = dual_approx._batch_feasible(inst, lams)
-        scalar = [feasibility_check(inst, lam)[0] for lam in lams]
-        assert batched == scalar
-        # The accepted guess itself is feasible, one notch below is how
-        # the search terminated.
-        assert batched[lams.index(res.lam)]
+        probed = [dual_approx._probe(inst, lam) for lam in lams]
+        full = [feasibility_check(inst, lam)[0] for lam in lams]
+        assert probed == full
+        # The accepted guess itself is feasible, the certified bound not
+        # (unless the search accepted the closed-form floor).
+        assert probed[lams.index(res.lam)]
+        assert res.lam == res.lower_bound or not dual_approx._probe(inst, res.lower_bound)

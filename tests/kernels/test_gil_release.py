@@ -3,9 +3,8 @@
 The thread backend's whole value proposition (ISSUE 10) is that the
 compiled kernel layer runs GIL-free, so kernel-bound cells from
 different threads genuinely overlap.  This suite pins that property for
-every compiled backend that imports here (``cffi`` and/or ``numba``;
-skipped entirely when only ``numpy`` is available, whose Python glue
-holds the GIL between ufunc calls).
+the compiled backend (``cffi``; skipped entirely when only ``numpy`` is
+available, whose Python glue holds the GIL between ufunc calls).
 
 The detection technique works even on a single CPU: a worker thread
 timestamps ``t_start``/``t_end`` around one long kernel call while the
@@ -30,13 +29,19 @@ from repro import kernels
 COMPILED = tuple(n for n in kernels.available_backend_names() if n != "numpy")
 
 pytestmark = pytest.mark.skipif(
-    not COMPILED, reason="no compiled kernel backend (cffi/numba) available"
+    not COMPILED, reason="no compiled kernel backend (cffi) available"
 )
 
 #: Minimum wall-clock length of the probed kernel call.  Long enough that
 #: the middle third spans many OS timeslices; short enough to keep the
 #: suite fast.
 _MIN_CALL = 0.05
+#: The dual sweep is one pass over an ``(n, m)`` matrix, so a 50 ms call
+#: would need a ~150 MB input; its probe uses a 32 MB matrix and accepts a
+#: shorter call (a held GIL still freezes the spinner for the whole call,
+#: and a released one lets it run through the middle third even when one
+#: CPU time-slices both threads).
+_MIN_CALL_FOR = {"dual_sweep": 0.005}
 
 
 def _knapsack_min_work_call(mod):
@@ -47,6 +52,22 @@ def _knapsack_min_work_call(mod):
     work_b = work_a + rng.uniform(0.0, 25.0, size=n)
     m = 12000
     return lambda: mod.knapsack_min_work_value_core(work_a, cost_a, work_b, m)
+
+
+def _knapsack_min_work_reconstruct_call(mod):
+    rng = np.random.default_rng(5)
+    n = 6000
+    work_a = rng.uniform(1.0, 50.0, size=n)
+    cost_a = rng.integers(1, 40, size=n).astype(np.int64)
+    work_b = work_a + rng.uniform(0.0, 25.0, size=n)
+    m = 6000
+    return lambda: mod.knapsack_min_work_core(work_a, cost_a, work_b, m)
+
+
+def _dual_sweep_call(mod):
+    rng = np.random.default_rng(3)
+    times = rng.uniform(1.0, 100.0, size=(4000, 1000))
+    return lambda: mod.dual_sweep_core(times, 50.0)
 
 
 def _knapsack_select_call(mod):
@@ -68,6 +89,8 @@ def _graham_call(mod):
 
 _KERNEL_CALLS = {
     "min_work_value": _knapsack_min_work_call,
+    "min_work": _knapsack_min_work_reconstruct_call,
+    "dual_sweep": _dual_sweep_call,
     "knapsack_select": _knapsack_select_call,
     "graham_starts": _graham_call,
 }
@@ -108,13 +131,13 @@ def _probe_overlap(call):
 def test_kernel_releases_gil(backend, kernel):
     mod = kernels.load_backend(backend)
     call = _KERNEL_CALLS[kernel](mod)
-    # Warm up outside the probe: first call may JIT-compile (numba) or
-    # page in the extension (cffi), and must not pollute the window.
+    # Warm up outside the probe: the first call pages in the extension
+    # and must not pollute the window.
     call()
     t0 = time.perf_counter()
     call()
     elapsed = time.perf_counter() - t0
-    if elapsed < _MIN_CALL:  # pragma: no cover - machine-speed dependent
+    if elapsed < _MIN_CALL_FOR.get(kernel, _MIN_CALL):  # pragma: no cover - machine-speed dependent
         pytest.skip(
             f"{backend}/{kernel} finished in {elapsed * 1e3:.1f}ms; "
             "too fast to probe GIL release reliably"
@@ -127,8 +150,8 @@ def test_kernel_releases_gil(backend, kernel):
     inside = sum(1 for s in stamps if lo < s < hi)
     # With the GIL held for the whole compiled call the spinner is frozen
     # between t_start and t_end and `inside` is 0.  With it released, the
-    # middle third (tens of ms) spans many ~5ms timeslices, so the
-    # spinner lands there hundreds of times even on one CPU.
+    # middle third spans one or more ~5ms timeslices, so the spinner
+    # lands there hundreds of times even on one CPU.
     assert inside >= 10, (
         f"{backend}/{kernel}: only {inside} main-thread stamps landed in "
         f"the middle third of a {span * 1e3:.1f}ms kernel call — the GIL "

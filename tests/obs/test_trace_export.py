@@ -19,7 +19,7 @@ def _sample_state(fake_clock):
     with state.span("campaign", "campaign"):
         with state.span("cells:demt", "cell"):
             with state.span("dual_approximation", "algorithm"):
-                with state.span("dual.batch_feasible", "kernel"):
+                with state.span("dual.probe", "kernel"):
                     pass
     state.count("dual.probes", 42)
     state.count("cells.measured", 3)
@@ -51,10 +51,10 @@ class TestChromeTraceDoc:
             "campaign": None,
             "cells:demt": "campaign",
             "dual_approximation": "cells:demt",
-            "dual.batch_feasible": "dual_approximation",
+            "dual.probe": "dual_approximation",
         }
         cats = {e["name"]: e["cat"] for e in xs}
-        assert cats["campaign"] == "campaign" and cats["dual.batch_feasible"] == "kernel"
+        assert cats["campaign"] == "campaign" and cats["dual.probe"] == "kernel"
 
     def test_counter_events_and_metrics_block(self, fake_clock):
         doc = chrome_trace_doc(_sample_state(fake_clock))
@@ -101,7 +101,7 @@ class TestMetricsSummary:
         assert "dual.probes" in text and "42" in text
         assert "online.batch_size" in text and "count=1" in text
         assert "== spans (total time, by path) ==" in text
-        assert "dual.batch_feasible" in text
+        assert "dual.probe" in text
 
     def test_empty_state(self, fake_clock):
         text = metrics_summary(ObsState(clock=fake_clock))
