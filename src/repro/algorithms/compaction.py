@@ -14,66 +14,173 @@ DEMT first conceptually places each selected batch in its time window
    batches": full Graham list scheduling over the concatenated batch lists
    (tasks from a later batch may overtake a stalled earlier one).
 
-All three take the same input: the per-batch lists of
-:class:`~repro.algorithms.list_scheduling.ListItem` produced by the DEMT
-selection loop, already locally ordered within each batch.
+All three take the same input: the :class:`Batches` table produced by the
+DEMT selection loop — every selected item (a task at its allotment, or a
+merged stack of small sequential tasks) as array rows, batch after batch,
+already locally ordered within each batch.  All three append their
+placements to a :class:`~repro.core.schedule.Schedule` through the one
+materialisation path of list scheduling
+(:func:`~repro.algorithms.list_scheduling.place_items`).
 
 Both non-trivial refinements run on the vectorized core of
 :mod:`repro.core.profile`: pull-forward maintains one incremental
 :class:`~repro.core.profile.FreeProfile` instead of rescanning all prior
-placements per task, and list compaction feeds the flat item list to the
-:func:`~repro.core.profile.graham_starts` kernel.  For DEMT's shuffle
-optimisation — which compacts the *same* items ten-plus times in different
-batch orders — :func:`batch_arrays` / :func:`order_metrics` evaluate a
-candidate order's ``(Cmax, sum w_i C_i)`` straight from the kernel's start
-times, without materialising a :class:`~repro.core.schedule.Schedule` at
-all; only the winning order is materialised.
+placements per task, and list compaction feeds the item arrays to the
+:func:`~repro.core.profile.graham_starts` kernel.  DEMT's shuffle
+optimisation compacts the *same* items ten-plus times in different batch
+orders: :func:`order_metrics` scores a candidate order's
+``(Cmax, sum w_i C_i)`` straight from the kernel's start times and the
+items' weight columns, so only the winning order is placed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.algorithms.list_scheduling import ListItem, list_schedule
+from repro.algorithms.list_scheduling import ListItem, list_schedule, place_items
+from repro.core.instance import Instance
 from repro.core.profile import FreeProfile, graham_starts
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, check_columns
 
 __all__ = [
+    "Batches",
     "shelf_placement",
     "pull_forward",
     "list_compaction",
-    "BatchArrays",
-    "batch_arrays",
     "order_metrics",
 ]
 
 
-def shelf_placement(
-    batches: Sequence[Sequence[ListItem]],
-    batch_starts: Sequence[float],
-    m: int,
-) -> Schedule:
+class Batches(NamedTuple):
+    """DEMT's selected batches as one item table, in batch order.
+
+    The items of batch ``j`` are rows ``bounds[j]:bounds[j + 1]``, in
+    their local order.  Per item:
+
+    ``allotment``, ``duration``
+        The list-scheduling inputs; a stack runs on one processor for the
+        left-to-right sum of its members' ``p(1)``.
+    ``weight``
+        The task's weight, or the stack's summed weight.
+    ``offset``
+        The item's weighted completion mass relative to its own start:
+        ``w * p(k)`` for a task, ``sum_j w_j * (cumulative end of member
+        j)`` for a stack — placed at ``t``, the item adds
+        ``weight * t + offset`` to ``sum w_i C_i``.
+    ``members``, ``stacked``
+        The member count (1 for a task) and whether the item is a merged
+        stack (a stack may hold one task); both ``None`` when no item is.
+
+    ``rows`` holds the members' rows of ``instance``, item after item.
+    """
+
+    instance: Instance
+    bounds: np.ndarray
+    allotment: np.ndarray
+    duration: np.ndarray
+    weight: np.ndarray
+    offset: np.ndarray
+    members: np.ndarray | None
+    stacked: np.ndarray | None
+    rows: np.ndarray
+
+    @property
+    def n_batches(self) -> int:
+        return len(self.bounds) - 1
+
+    def item_order(self, order: Sequence[int] | None) -> np.ndarray | None:
+        """Item positions of the batches taken in ``order`` (``None``: the
+        table's own order)."""
+        if order is None:
+            return None
+        lengths = np.diff(self.bounds)[order]
+        first = self.bounds[:-1][order]
+        shift = first - (np.cumsum(lengths) - lengths)
+        return np.repeat(shift, lengths) + np.arange(len(self.allotment))
+
+    def member_rows(self, items: np.ndarray | None) -> np.ndarray:
+        """The members' rows of the items at positions ``items``."""
+        if items is None:
+            return self.rows
+        if self.members is None:
+            return self.rows[items]
+        counts = self.members[items]
+        first = (np.cumsum(self.members) - self.members)[items]
+        return self.rows[np.repeat(first - (np.cumsum(counts) - counts), counts)
+                         + np.arange(len(self.rows))]
+
+    def items(self) -> list[list[ListItem]]:
+        """The batches as :class:`ListItem` lists (stacks as ``stack``)."""
+        tasks = self.instance.tasks
+        rows = self.rows.tolist()
+        bounds = self.bounds.tolist()
+        out: list[list[ListItem]] = []
+        pos = 0
+        for j in range(self.n_batches):
+            batch = []
+            for i in range(bounds[j], bounds[j + 1]):
+                count = 1 if self.members is None else int(self.members[i])
+                members = rows[pos : pos + count]
+                pos += count
+                if self.stacked is not None and self.stacked[i]:
+                    stack = tuple(tasks[r] for r in members)
+                    batch.append(ListItem(stack[0], 1, stack=stack))
+                else:
+                    batch.append(ListItem(tasks[members[0]], int(self.allotment[i])))
+            out.append(batch)
+        return out
+
+    @classmethod
+    def from_items(cls, batches: Sequence[Sequence[ListItem]], m: int) -> "Batches":
+        """The table of :class:`ListItem` batches: their tasks become the
+        rows of an object-backed instance on ``m`` processors."""
+        items = [it for batch in batches for it in batch]
+        tasks = [t for it in items for t in (it.stack or (it.task,))]
+        weights, offsets = [], []
+        for it in items:
+            if it.stack:
+                w = acc = end = 0.0
+                for task in it.stack:
+                    end += task.seq_time
+                    w += task.weight
+                    acc += task.weight * end
+                weights.append(w)
+                offsets.append(acc)
+            else:
+                weights.append(it.task.weight)
+                offsets.append(it.task.weight * it.duration)
+        any_stack = any(it.stack for it in items)
+        return cls(
+            Instance(tasks, m),
+            np.cumsum([0] + [len(b) for b in batches], dtype=np.int64),
+            np.array([it.allotment for it in items], dtype=np.int64),
+            np.array([it.duration for it in items], dtype=np.float64),
+            np.array(weights, dtype=np.float64),
+            np.array(offsets, dtype=np.float64),
+            np.array([len(it.stack) or 1 for it in items]) if any_stack else None,
+            np.array([bool(it.stack) for it in items]) if any_stack else None,
+            np.arange(len(tasks)),
+        )
+
+
+def shelf_placement(batches: Batches, batch_starts: Sequence[float]) -> Schedule:
     """Naive placement: every item of batch ``j`` starts at ``batch_starts[j]``.
 
     Feasible by construction because the knapsack selection capped each
     batch's total allotment at ``m`` — provided every item's duration fits
     in its batch window, which the DEMT admissibility filter guarantees.
     """
-    if len(batches) != len(batch_starts):
+    if batches.n_batches != len(batch_starts):
         raise ValueError(
-            f"{len(batches)} batches but {len(batch_starts)} start times"
+            f"{batches.n_batches} batches but {len(batch_starts)} start times"
         )
-    out = Schedule(m)
-    for items, start in zip(batches, batch_starts):
-        for it in items:
-            _place_at(out, it, start)
-    return out
+    starts = np.repeat(np.asarray(batch_starts, dtype=np.float64), np.diff(batches.bounds))
+    return _place_in_order(batches, starts)
 
 
-def pull_forward(batches: Sequence[Sequence[ListItem]], m: int) -> Schedule:
+def pull_forward(batches: Batches) -> Schedule:
     """Order-preserving compaction.
 
     Tasks are taken strictly in (batch, local) order; each starts at the
@@ -81,105 +188,73 @@ def pull_forward(batches: Sequence[Sequence[ListItem]], m: int) -> Schedule:
     already made*.  No overtaking: a huge stalled task does not let smaller
     successors slip past it earlier than its own start.
     """
-    out = Schedule(m)
-    profile = FreeProfile(m)
-    for items in batches:
-        for it in items:
-            duration = it.duration
-            start = profile.earliest_fit(it.allotment, duration)
-            _place_at(out, it, start)
-            profile.reserve(start, duration, it.allotment)
-    return out
+    profile = FreeProfile(batches.instance.m)
+    starts = []
+    for allotment, duration in zip(batches.allotment.tolist(), batches.duration.tolist()):
+        start = profile.earliest_fit(allotment, duration)
+        starts.append(start)
+        profile.reserve(start, duration, allotment)
+    return _place_in_order(batches, np.array(starts, dtype=np.float64))
 
 
-def list_compaction(batches: Sequence[Sequence[ListItem]], m: int) -> Schedule:
-    """Full Graham list compaction with the batch ordering (the DEMT default)."""
-    flat: list[ListItem] = [it for items in batches for it in items]
-    return list_schedule(flat, m)
+def _place_in_order(batches: Batches, starts: np.ndarray) -> Schedule:
+    """Place every item at its start, in table order (checked like add)."""
+    inst = batches.instance
+    out = Schedule(inst.m)
+    if not len(batches.allotment):
+        return out
+    counts = batches.members
+    first = batches.rows if counts is None else batches.rows[np.cumsum(counts) - counts]
+    check_columns(inst.m, batches.allotment, batches.duration,
+                  lambda i: int(inst.task_ids[first[i]]), starts)
+    return place_items(
+        out, inst, batches.rows, batches.allotment, batches.duration, starts,
+        np.arange(len(starts)), batches.members,
+    )
 
 
-# ---------------------------------------------------------------------- #
-# Metric-only fast path (DEMT shuffle loop)                              #
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BatchArrays:
-    """One batch flattened to the arrays the kernel and metrics need.
+def list_compaction(batches: Batches, order: Sequence[int] | None = None) -> Schedule:
+    """Full Graham list compaction with the batch ordering (the DEMT
+    default); ``order`` permutes the batches (default: table order)."""
+    items = batches.item_order(order)
 
-    ``weighted_offsets[i]`` is the weighted completion mass of item ``i``
-    *relative to its own start*: ``w * p(k)`` for a plain task, and
-    ``sum_j w_j * (cumulative end of stack element j)`` for a merged stack
-    — so a placement at ``t`` contributes
-    ``weight_sums[i] * t + weighted_offsets[i]`` to ``sum w_i C_i``.
-    """
+    def pick(column):
+        return column if items is None or column is None else column[items]
 
-    allotments: np.ndarray
-    durations: np.ndarray
-    weight_sums: np.ndarray
-    weighted_offsets: np.ndarray
-
-
-def batch_arrays(items: Sequence[ListItem]) -> BatchArrays:
-    """Precompute one batch's kernel/metric arrays (once per DEMT run)."""
-    n = len(items)
-    allot = np.empty(n, dtype=np.int64)
-    dur = np.empty(n, dtype=np.float64)
-    wsum = np.empty(n, dtype=np.float64)
-    woff = np.empty(n, dtype=np.float64)
-    for i, it in enumerate(items):
-        allot[i] = it.allotment
-        dur[i] = it.duration
-        if it.stack:
-            w = 0.0
-            acc = 0.0
-            end = 0.0
-            for task in it.stack:
-                end += task.seq_time
-                w += task.weight
-                acc += task.weight * end
-            wsum[i] = w
-            woff[i] = acc
-        else:
-            wsum[i] = it.task.weight
-            woff[i] = it.task.weight * dur[i]
-    return BatchArrays(allot, dur, wsum, woff)
+    return list_schedule(
+        batches.instance,
+        batches.member_rows(items),
+        pick(batches.allotment),
+        pick(batches.duration),
+        members=pick(batches.members),
+    )
 
 
 def order_metrics(
-    arrays: Sequence[BatchArrays],
+    batches: Batches,
     order: Sequence[int],
-    m: int,
     *,
     cmax_cutoff: float | None = None,
 ) -> tuple[float, float] | None:
     """``(Cmax, sum w_i C_i)`` of ``list_compaction`` in batch order ``order``.
 
-    Runs the Graham kernel on the concatenated arrays and reads both
+    Runs the Graham kernel on the permuted item arrays and reads both
     criteria off the start times — no :class:`Schedule` is built.  Returns
     ``None`` when ``cmax_cutoff`` is given and the makespan provably
     exceeds it (the shuffle loop's reject-fast path).
     """
-    allot = np.concatenate([arrays[i].allotments for i in order])
-    dur = np.concatenate([arrays[i].durations for i in order])
-    result = graham_starts(allot, dur, m, cutoff=cmax_cutoff)
+    items = batches.item_order(order)
+    dur = batches.duration[items]
+    result = graham_starts(
+        batches.allotment[items], dur, batches.instance.m, cutoff=cmax_cutoff
+    )
     if result is None:
         return None
     starts, _ = result
     cmax = float(np.max(starts + dur)) if starts.size else 0.0
     if cmax_cutoff is not None and cmax > cmax_cutoff:
         return None
-    wsum = np.concatenate([arrays[i].weight_sums for i in order])
-    woff = np.concatenate([arrays[i].weighted_offsets for i in order])
     # np.sum (pairwise) rather than a BLAS dot: candidate ranking must not
     # depend on which BLAS the platform links.
-    minsum = float(np.sum(starts * wsum) + np.sum(woff))
+    minsum = float(np.sum(starts * batches.weight[items]) + np.sum(batches.offset[items]))
     return cmax, minsum
-
-
-def _place_at(schedule: Schedule, item: ListItem, start: float) -> None:
-    if item.stack:
-        t = start
-        for task in item.stack:
-            schedule.add(task, t, 1)
-            t += task.seq_time
-    else:
-        schedule.add(item.task, start, item.allotment)

@@ -39,23 +39,27 @@ benchmark's first part) under the ``rigid`` model, off-line, DEMT builds
 453 batches with ``K = 12``, and 439 of them come from the extension.
 Each compaction pass adds ``O(n^2)``.
 
-The selection loop is columnar: the pool of unplaced tasks is an array of
-instance rows, each round scans it with array operations, and
+The whole pipeline is columnar: the pool of unplaced tasks is an array of
+instance rows, each round scans it with array operations, and the items the
+knapsack keeps are collected as rows of one
+:class:`~repro.algorithms.compaction.Batches` table, locally ordered with
+one ``np.lexsort`` at the end.  Compaction and the shuffle read that table;
 :class:`~repro.algorithms.list_scheduling.ListItem` objects are built only
-for the items the knapsack keeps.  The seed's object loop is the oracle
-:class:`repro.algorithms.reference.ReferenceDemtScheduler`.  A scheduler
-keeps no per-call state, so threads may share one.
+if a caller reads :attr:`DemtResult.batches`.  The seed's object loop is
+the oracle :class:`repro.algorithms.reference.ReferenceDemtScheduler`.  A
+scheduler keeps no per-call state, so threads may share one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro import obs
 from repro.algorithms.compaction import (
-    batch_arrays,
+    Batches,
     list_compaction,
     order_metrics,
     pull_forward,
@@ -82,18 +86,52 @@ COMPACTION_MODES = ("shelf", "pull_forward", "list")
 BATCH_ORDERINGS = ("smith", "weight", "duration", "id")
 
 
-@dataclass
 class DemtResult:
-    """Full trace of a DEMT run (useful for tests, ablations and plots)."""
+    """Full trace of a DEMT run (useful for tests, ablations and plots).
 
-    schedule: Schedule
-    batches: list[list[ListItem]] = field(default_factory=list)
-    batch_starts: list[float] = field(default_factory=list)
-    cmax_estimate: float = 0.0
-    t_grid: list[float] = field(default_factory=list)
-    K: int = 0
-    dual: DualApproxResult | None = None
-    shuffle_improvement: float = 0.0  # relative minsum gain from shuffling
+    ``table`` holds the selected batches as arrays; :attr:`batches` is
+    their :class:`ListItem` form, built on first access (or given as is
+    by the object-level oracle).  ``extension_batches`` counts the batches
+    whose length comes from the doubling extension beyond ``t_grid``.
+    """
+
+    def __init__(
+        self,
+        schedule: Schedule,
+        batches: list[list[ListItem]] | None = None,
+        batch_starts: list[float] | None = None,
+        cmax_estimate: float = 0.0,
+        t_grid: list[float] | None = None,
+        K: int = 0,
+        dual: DualApproxResult | None = None,
+        shuffle_improvement: float = 0.0,  # relative minsum gain from shuffling
+        extension_batches: int = 0,
+        *,
+        table: Batches | None = None,
+    ) -> None:
+        self.schedule = schedule
+        self._batches = batches
+        self.batch_starts = [] if batch_starts is None else batch_starts
+        self.cmax_estimate = cmax_estimate
+        self.t_grid = [] if t_grid is None else t_grid
+        self.K = K
+        self.dual = dual
+        self.shuffle_improvement = shuffle_improvement
+        self.extension_batches = extension_batches
+        self.table = table
+
+    @property
+    def batches(self) -> list[list[ListItem]]:
+        """The selected batches as :class:`ListItem` lists, in batch order."""
+        if self._batches is None:
+            self._batches = [] if self.table is None else self.table.items()
+        return self._batches
+
+    @property
+    def n_batches(self) -> int:
+        if self._batches is None and self.table is not None:
+            return self.table.n_batches
+        return len(self.batches)
 
 
 class DemtScheduler:
@@ -170,7 +208,8 @@ class DemtScheduler:
             return self._schedule_detailed_impl(instance)
         with state.span("demt", "algorithm"):
             result = self._schedule_detailed_impl(instance)
-        state.count("demt.batches", len(result.batches))
+        state.count("demt.batches", result.n_batches)
+        state.count("demt.extension_batches", result.extension_batches)
         return result
 
     def _schedule_detailed_impl(self, instance: Instance) -> DemtResult:
@@ -181,22 +220,23 @@ class DemtScheduler:
         # Multiplying by the default 1.0 is exact in IEEE arithmetic, so
         # the un-relaxed path stays bit-identical to the paper's algorithm.
         cstar = dual.lam * self.guess_relaxation
-        batches, starts, t_grid, K = self._select_batches(instance, cstar)
-        schedule = self._compact(batches, starts, instance.m)
+        table, starts, t_grid, K, extensions = self._select_batches(instance, cstar)
+        schedule = self._compact(table, starts)
 
         improvement = 0.0
-        if self.shuffle_rounds > 0 and len(batches) > 1 and self.compaction == "list":
-            schedule, improvement = self._shuffle_optimise(batches, instance.m, schedule)
+        if self.shuffle_rounds > 0 and table.n_batches > 1 and self.compaction == "list":
+            schedule, improvement = self._shuffle_optimise(table, schedule)
 
         return DemtResult(
             schedule=schedule,
-            batches=batches,
             batch_starts=starts,
             cmax_estimate=cstar,
             t_grid=t_grid,
             K=K,
             dual=dual,
             shuffle_improvement=improvement,
+            extension_batches=extensions,
+            table=table,
         )
 
     def _dual(self, instance: Instance) -> DualApproxResult:
@@ -209,7 +249,8 @@ class DemtScheduler:
     # ------------------------------------------------------------------ #
     def _select_batches(
         self, instance: Instance, cstar: float
-    ) -> tuple[list[list[ListItem]], list[float], list[float], int]:
+    ) -> tuple[Batches, list[float], list[float], int, int]:
+        """``(table, batch starts, t_grid, K, extension batches)``."""
         tmin = instance.tmin
         if not (cstar > 0 and np.isfinite(cstar)):  # pragma: no cover - defensive
             raise SchedulingError(f"invalid C*max estimate {cstar}")
@@ -218,15 +259,18 @@ class DemtScheduler:
         t_grid = [cstar / 2 ** (K - j) for j in range(K + 2)]
 
         # Columnar pool: the instance rows of the unplaced tasks, kept in
-        # instance order.  Every round scans it as arrays; task objects are
-        # touched only for the items the knapsack keeps.
-        tasks = instance.tasks
+        # instance order.  Every round scans it as arrays; the chosen items
+        # are collected as rows and become the table after the loop.
         times = instance.times_matrix
         seq_times, weights, task_ids = times[:, 0], instance.weights, instance.task_ids
         n = instance.n
         pool = np.arange(n)
-        batches: list[list[ListItem]] = []
+        plain_rows: list[np.ndarray] = []  # per batch: the chosen tasks' rows
+        plain_allots: list[np.ndarray] = []
+        stacks_taken: list[list[int]] = []  # every chosen stack's member rows
+        sizes: list[tuple[int, int]] = []  # per batch: (stacks, tasks) chosen
         starts: list[float] = []
+        extensions = 0
 
         j = 0
         # Extension beyond the paper's `for j = 0..K`: keep doubling until
@@ -245,11 +289,8 @@ class DemtScheduler:
         t_last = t_grid[-1]
         k_max = min(900, 1024 - math.frexp(t_last)[1]) if math.isfinite(t_last) else 900
         while pool.size and j < max_batches:
-            length = (
-                t_grid[j]
-                if j < len(t_grid)
-                else math.ldexp(t_last, min(j - K - 1, k_max))
-            )
+            extension = j >= len(t_grid)
+            length = t_grid[j] if not extension else math.ldexp(t_last, min(j - K - 1, k_max))
             j += 1
             # (a) admissibility: some allotment meets the batch length.
             # Until the first batch is taken the pool is the whole instance.
@@ -281,22 +322,27 @@ class DemtScheduler:
             picked = self._choose(cand_allots, cand_weights, cand_ids, instance.m)
             if not len(picked):
                 continue
-            batch: list[ListItem] = []
-            taken: list[int] = []  # positions in `rows`
-            for i in picked:
-                if i < ns:
-                    members = stacks[i]
-                    stack = tuple(tasks[r] for r in rows[members].tolist())
-                    batch.append(ListItem(stack[0], 1, stack=stack))
-                    taken += members
-                else:
-                    pos = int(rest[i - ns])
-                    batch.append(ListItem(tasks[int(rows[pos])], int(allots[pos])))
-                    taken.append(pos)
-            # Local ordering inside the batch (default: Smith ratio).
-            batch.sort(key=_BATCH_SORT_KEYS[self.batch_ordering])
-            batches.append(batch)
+            if ns:
+                picked = np.asarray(picked, dtype=np.intp)
+                chosen = picked[picked < ns].tolist()
+                pos = rest[picked[picked >= ns] - ns]  # positions in `rows`
+                members = [stacks[i] for i in chosen]
+                stacks_taken += [rows[m].tolist() for m in members]
+                taken = np.concatenate([pos, *members]) if members else pos
+            else:
+                chosen = ()
+                pos = taken = picked
+            if len(pos) == len(rows):
+                # Every candidate task is chosen (the batch is sorted
+                # afterwards, so their order here does not matter).
+                plain_rows.append(rows)
+                plain_allots.append(allots)
+            else:
+                plain_rows.append(rows[pos])
+                plain_allots.append(allots[pos])
+            sizes.append((len(chosen), len(pos)))
             starts.append(length)  # window is [t_j, t_{j+1}] and t_j == length
+            extensions += extension
             # (d) the chosen tasks leave the pool, which stays in instance order.
             if len(taken) == pool.size:
                 pool = pool[:0]
@@ -306,7 +352,76 @@ class DemtScheduler:
                 pool = pool[keep]
         if pool.size:  # pragma: no cover - defensive
             raise SchedulingError(f"batch selection left {pool.size} tasks unplaced")
-        return batches, starts, t_grid, K
+        table = self._table(instance, plain_rows, plain_allots, stacks_taken, sizes)
+        return table, starts, t_grid, K, extensions
+
+    def _table(
+        self,
+        instance: Instance,
+        plain_rows: list[np.ndarray],
+        plain_allots: list[np.ndarray],
+        stacks_taken: list[list[int]],
+        sizes: list[tuple[int, int]],
+    ) -> Batches:
+        """The chosen items as one table, each batch in its local order."""
+        times, weights, task_ids = instance.times_matrix, instance.weights, instance.task_ids
+        rows = plain_rows[0] if len(plain_rows) == 1 else np.concatenate(plain_rows)
+        allot = plain_allots[0] if len(plain_allots) == 1 else np.concatenate(plain_allots)
+        dur = times[rows, allot - 1]
+        wsum = weights[rows]
+        offset = wsum * dur
+        counts = stacked = None
+        n_stacks = len(stacks_taken)
+        if n_stacks:
+            # A stack's duration, weight and offset accumulate over its
+            # members left to right from 0.0, like ListItem.duration.
+            flat = [r for members in stacks_taken for r in members]
+            p1 = times[flat, 0].tolist()
+            w1 = weights[flat].tolist()
+            s_dur, s_w, s_off = [], [], []
+            i = 0
+            for members in stacks_taken:
+                end = w = acc = 0.0
+                for p, wt in zip(p1[i : i + len(members)], w1[i : i + len(members)]):
+                    end += p
+                    w += wt
+                    acc += wt * end
+                i += len(members)
+                s_dur.append(end)
+                s_w.append(w)
+                s_off.append(acc)
+            lead = np.concatenate((task_ids[[m[0] for m in stacks_taken]], task_ids[rows]))
+            counts = np.array([len(m) for m in stacks_taken] + [1] * len(rows), dtype=np.int64)
+            stacked = np.arange(len(counts)) < n_stacks
+            rows = np.concatenate((np.array(flat, dtype=rows.dtype), rows))
+            allot = np.concatenate((np.ones(n_stacks, np.int64), allot))
+            dur = np.concatenate((s_dur, dur))
+            wsum = np.concatenate((s_w, wsum))
+            offset = np.concatenate((s_off, offset))
+        bounds = np.array([0, *itertools.accumulate(s + t for s, t in sizes)])
+        table = Batches(instance, bounds, allot, dur, wsum, offset, counts, stacked, rows)
+        if len(allot) == 1:
+            return table
+        # Local ordering inside each batch (default: Smith ratio), ties by
+        # the item's first task id; the batch index leads the sort keys.
+        if not n_stacks:
+            lead = task_ids[rows]
+        batches = np.arange(len(sizes))
+        batch = np.concatenate((
+            np.repeat(batches, [s for s, _ in sizes]),
+            np.repeat(batches, [t for _, t in sizes]),
+        ))
+        key = _BATCH_SORT_KEYS[self.batch_ordering](wsum, dur, lead)
+        perm = np.lexsort((lead, key, batch))
+        return table._replace(
+            allotment=allot[perm],
+            duration=dur[perm],
+            weight=wsum[perm],
+            offset=offset[perm],
+            members=None if counts is None else counts[perm],
+            stacked=None if stacked is None else stacked[perm],
+            rows=table.member_rows(perm),
+        )
 
     def _choose(
         self,
@@ -324,26 +439,18 @@ class DemtScheduler:
     # ------------------------------------------------------------------ #
     # Phase 2: compaction and shuffle optimisation                       #
     # ------------------------------------------------------------------ #
-    def _compact(
-        self,
-        batches: list[list[ListItem]],
-        starts: list[float],
-        m: int,
-    ) -> Schedule:
+    def _compact(self, batches: Batches, starts: list[float]) -> Schedule:
         state = obs.ACTIVE
         if state is not None:
             state.count("demt.compaction_passes")
         if self.compaction == "shelf":
-            return shelf_placement(batches, starts, m)
+            return shelf_placement(batches, starts)
         if self.compaction == "pull_forward":
-            return pull_forward(batches, m)
-        return list_compaction(batches, m)
+            return pull_forward(batches)
+        return list_compaction(batches)
 
     def _shuffle_optimise(
-        self,
-        batches: list[list[ListItem]],
-        m: int,
-        baseline: Schedule,
+        self, batches: Batches, baseline: Schedule
     ) -> tuple[Schedule, float]:
         """Shuffle the batch order, keep the best compacted schedule.
 
@@ -357,25 +464,24 @@ class DemtScheduler:
         winning order is materialised into a schedule.
         """
         rng = make_rng(self.seed)
-        arrays = [batch_arrays(b) for b in batches]
         base_minsum = baseline.weighted_completion_sum()
         best_minsum = base_minsum
         base_cmax = baseline.makespan()
         cutoff = base_cmax * (1 + 1e-12)
         best_order: np.ndarray | None = None
-        order = np.arange(len(batches))
+        order = np.arange(batches.n_batches)
         state = obs.ACTIVE
         if state is not None:
             state.count("demt.shuffle_candidates", self.shuffle_rounds)
         for _ in range(self.shuffle_rounds):
             rng.shuffle(order)
-            metrics = order_metrics(arrays, order, m, cmax_cutoff=cutoff)
+            metrics = order_metrics(batches, order, cmax_cutoff=cutoff)
             if metrics is not None and metrics[1] < best_minsum:
                 best_minsum = metrics[1]
                 best_order = order.copy()
         if best_order is None:
             return baseline, 0.0
-        best = list_compaction([batches[i] for i in best_order], m)
+        best = list_compaction(batches, best_order)
         # Recompute the winner's minsum from the materialised schedule so
         # the reported gain uses the same summation as every other metric
         # (the kernel-side dot product can differ in the last few ulps).
@@ -385,19 +491,14 @@ class DemtScheduler:
         return best, (base_minsum - exact) / max(base_minsum, 1e-300)
 
 
-def _item_weight(item: ListItem) -> float:
-    if item.stack:
-        return sum(t.weight for t in item.stack)
-    return item.task.weight
-
-
-#: Sort keys of the intra-batch orderings (ties broken by task id so every
-#: ordering stays deterministic).
+#: Sort keys of the intra-batch orderings over the item columns (weight,
+#: duration, first task id); ties go by the first task id, so every
+#: ordering stays deterministic.
 _BATCH_SORT_KEYS = {
-    "smith": lambda it: (-_item_weight(it) / it.duration, it.task.task_id),
-    "weight": lambda it: (-_item_weight(it), it.task.task_id),
-    "duration": lambda it: (it.duration, it.task.task_id),
-    "id": lambda it: (it.task.task_id,),
+    "smith": lambda w, d, lead: (-w) / d,
+    "weight": lambda w, d, lead: -w,
+    "duration": lambda w, d, lead: d,
+    "id": lambda w, d, lead: lead,
 }
 
 

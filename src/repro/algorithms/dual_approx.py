@@ -52,14 +52,14 @@ and the shelf ordering).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro import kernels, obs
 from repro.algorithms.knapsack import knapsack_min_work, knapsack_min_work_value
-from repro.algorithms.list_scheduling import ListItem, list_schedule
+from repro.algorithms.list_scheduling import list_schedule
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import TIME_EPS
@@ -118,13 +118,29 @@ class DualApproxResult:
     big_shelf: frozenset[int]
     _instance: "Instance | None" = None
     _prebuilt: "Schedule | None" = None
+    _allot: "np.ndarray | None" = field(default=None, compare=False, repr=False)
+    _in_big: "np.ndarray | None" = field(default=None, compare=False, repr=False)
 
     @cached_property
     def schedule(self) -> Schedule:
         if self._prebuilt is not None:
             return self._prebuilt
         assert self._instance is not None
-        return _build_two_shelf_schedule(self._instance, self.allotments, self.big_shelf)
+        return _build_two_shelf_schedule(self._instance, *self.row_allotments(self._instance))
+
+    def row_allotments(self, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+        """``(allotment, in big shelf)`` of every row of ``instance``.
+
+        The arrays of the search itself when ``instance`` is the one it
+        ran on; otherwise looked up by task id in :attr:`allotments` and
+        :attr:`big_shelf`.
+        """
+        if instance is self._instance and self._allot is not None:
+            return self._allot, self._in_big
+        ids = instance.task_ids.tolist()
+        allot = np.fromiter(map(self.allotments.__getitem__, ids), np.int64, len(ids))
+        in_big = np.fromiter(map(self.big_shelf.__contains__, ids), bool, len(ids))
+        return allot, in_big
 
     @property
     def makespan(self) -> float:
@@ -188,7 +204,7 @@ def _decide(
 
     total = knapsack_min_work_value(
         work_a=work_big,
-        cost_a=g_big.astype(np.float64),
+        cost_a=g_big,
         work_b=work_small,
         m=m,
     )
@@ -288,39 +304,35 @@ def _dual_approximation_impl(
     # Built from the id vector, not the task objects: bounds-only cells on
     # array-backed instances never materialise a single MoldableTask.
     ids = instance.task_ids
-    allotments = {int(tid): int(allot[i]) for i, tid in enumerate(ids.tolist())}
-    big_ids = frozenset(int(tid) for tid in ids[in_big].tolist())
+    allotments = dict(zip(ids.tolist(), allot.tolist()))
+    big_ids = frozenset(ids[in_big].tolist())
     return DualApproxResult(
         lower_bound=float(lo),
         lam=float(lam),
         allotments=allotments,
         big_shelf=big_ids,
         _instance=instance,
+        _allot=allot,
+        _in_big=in_big,
     )
 
 
 def _build_two_shelf_schedule(
-    instance: Instance, allotments: dict[int, int], big_shelf: frozenset[int]
+    instance: Instance, allot: np.ndarray, in_big: np.ndarray
 ) -> Schedule:
     """Materialise the accepted partition into a feasible schedule.
 
     Big-shelf tasks are listed first (they anchor at time 0 because their
     total width fits in ``m``), then small-shelf tasks in decreasing
     duration; Graham list scheduling slots the small tasks into the gaps
-    left by the staggered big-shelf completions.
+    left by the staggered big-shelf completions.  Ties go by task id.
     """
-    big_items = [
-        ListItem(t, allotments[t.task_id])
-        for t in instance.tasks
-        if t.task_id in big_shelf
-    ]
-    small_items = [
-        ListItem(t, allotments[t.task_id])
-        for t in instance.tasks
-        if t.task_id not in big_shelf
-    ]
+    dur = instance.times_matrix[np.arange(instance.n), allot - 1]
+    ids = instance.task_ids
+    big, small = np.flatnonzero(in_big), np.flatnonzero(~in_big)
     # Big shelf: widest first so the shelf packs left-to-right deterministically.
-    big_items.sort(key=lambda it: (-it.allotment, it.task.task_id))
+    big = big[np.lexsort((ids[big], -allot[big]))]
     # Small shelf: longest processing time first (LPT keeps the tail short).
-    small_items.sort(key=lambda it: (-it.duration, it.task.task_id))
-    return list_schedule(big_items + small_items, instance.m)
+    small = small[np.lexsort((ids[small], -dur[small]))]
+    order = np.concatenate((big, small))
+    return list_schedule(instance, order, allot[order], dur[order])

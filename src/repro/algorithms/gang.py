@@ -17,6 +17,8 @@ block the whole machine, faithfully to the gang discipline.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.instance import Instance
@@ -39,15 +41,12 @@ class GangScheduler:
         # that can use it).
         k_fast = np.argmin(tm, axis=1) + 1
         durations = tm[np.arange(instance.n), k_fast - 1]
-        ratio = instance.weights / durations
-        order = sorted(
-            range(instance.n),
-            key=lambda i: (-ratio[i], instance.tasks[i].task_id),
-        )
-        now = 0.0
-        for i in order:
-            out.add(instance.tasks[i], now, int(k_fast[i]))
-            now += float(durations[i])
+        order = np.lexsort((instance.task_ids, -(instance.weights / durations)))
+        # One after the other from 0: each start is the running sum of the
+        # durations before it, added left to right.
+        d = durations[order]
+        starts = list(itertools.accumulate(d.tolist()[:-1], initial=0.0))
+        out.add_rows(instance, order, starts, k_fast[order], d)
         return out
 
 

@@ -161,22 +161,13 @@ def knapsack_min_work(
     (duration ≤ λ/2); minimising total work while respecting the big-shelf
     width decides whether λ can possibly be beaten.
     """
-    n = work_a.size
-    if not (cost_a.size == n and work_b.size == n):
-        raise ValueError("work_a, cost_a and work_b must have the same length")
-    if m < 0:
-        raise ValueError(f"capacity must be non-negative, got {m}")
-    # A non-finite cost has no int64 value, and the DP walks capacities
-    # back by the cost: reject both before dispatch, on every backend.
-    if n and not (np.isfinite(cost_a).all() and (cost_a >= 0).all()):
-        raise ValueError("cost_a must be finite and non-negative")
+    cost = _checked_costs(work_a, cost_a, work_b, m)
     # dp[q] = min work with big-shelf width exactly <= q, walked back from
     # capacity m through the strict via_a < via_b choices; runs through
     # the kernel layer (bit-identical across backends).
     return kernels.knapsack_min_work_core(
         np.ascontiguousarray(work_a, dtype=np.float64),
-        # float -> int64 truncates toward zero, same as the old int(c).
-        np.ascontiguousarray(cost_a, dtype=np.int64),
+        cost,
         np.ascontiguousarray(work_b, dtype=np.float64),
         m,
     )
@@ -193,17 +184,39 @@ def knapsack_min_work_value(
     Same dynamic program, same float operations in the same order (so
     feasibility decisions based on the value are identical), but no choice
     matrix — the dual-approximation binary search only needs the value for
-    all but its final, accepted probe.  Runs through the kernel layer.
+    all but its final, accepted probe.  Runs through the kernel layer,
+    with the same input checks as :func:`knapsack_min_work`.
+    """
+    cost = _checked_costs(work_a, cost_a, work_b, m)
+    return kernels.knapsack_min_work_value_core(
+        np.ascontiguousarray(work_a, dtype=np.float64),
+        cost,
+        np.ascontiguousarray(work_b, dtype=np.float64),
+        m,
+    )
+
+
+def _checked_costs(work_a, cost_a, work_b, m: int) -> np.ndarray:
+    """``cost_a`` as int64, once the inputs of both min-work paths pass
+    their checks (:class:`ValueError` otherwise): matching lengths, a
+    non-negative capacity, finite and non-negative costs.
+
+    A non-finite cost has no int64 value, and the DP walks capacities back
+    by the cost: both are rejected before dispatch, on every backend.  An
+    integer cost array costs one pass (its minimum); a float one is
+    truncated toward zero after the check, like the old ``int(c)``.
     """
     n = work_a.size
     if not (cost_a.size == n and work_b.size == n):
         raise ValueError("work_a, cost_a and work_b must have the same length")
     if m < 0:
         raise ValueError(f"capacity must be non-negative, got {m}")
-    return kernels.knapsack_min_work_value_core(
-        np.ascontiguousarray(work_a, dtype=np.float64),
-        # float -> int64 truncates toward zero, same as the old int(c).
-        np.ascontiguousarray(cost_a, dtype=np.int64),
-        np.ascontiguousarray(work_b, dtype=np.float64),
-        m,
-    )
+    if n:
+        if cost_a.dtype.kind in "iu":
+            # A short row is cheaper to scan as Python ints than to reduce.
+            ok = (min(cost_a.tolist()) if n <= 32 else cost_a.min()) >= 0
+        else:  # NaN fails both comparisons
+            ok = cost_a.min() >= 0 and cost_a.max() < np.inf
+        if not ok:
+            raise ValueError("cost_a must be finite and non-negative")
+    return np.ascontiguousarray(cost_a, dtype=np.int64)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from repro.algorithms.dual_approx import DualApproxResult, dual_approximation
-from repro.algorithms.list_scheduling import ListItem, list_schedule
+from repro.algorithms.list_scheduling import list_schedule
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 
@@ -66,45 +66,37 @@ class ListGrahamScheduler:
         if instance.n == 0:
             return Schedule(instance.m)
         dual = self.dual if self.dual is not None else dual_approximation(instance)
-        items = [
-            ListItem(task, dual.allotments[task.task_id]) for task in instance.tasks
-        ]
-        key = _ORDER_KEYS[self.ordering](dual)
-        items.sort(key=key)
-        return list_schedule(items, instance.m)
+        allot, in_big = dual.row_allotments(instance)
+        dur = instance.times_matrix[np.arange(instance.n), allot - 1]
+        key = _ORDER_KEYS[self.ordering](instance, allot, dur, in_big, dual.lam)
+        # One lexsort: the ordering's key, ties by task id.
+        order = np.lexsort((instance.task_ids, *key))
+        return list_schedule(instance, order, allot[order], dur[order])
 
 
-def _shelf_key(dual: DualApproxResult) -> Callable[[ListItem], tuple]:
-    lam = dual.lam
-
-    def key(it: ListItem) -> tuple:
-        tid = it.task.task_id
-        if tid in dual.big_shelf:
-            group = 0
-        elif it.task.seq_time <= lam / 2.0 and np.isfinite(it.task.seq_time):
-            group = 2  # the "small tasks" of the MT scheme
-        else:
-            group = 1
-        return (group, -it.duration, tid)
-
-    return key
+#: Per ordering, the sort keys over the instance rows, least significant
+#: first (``np.lexsort`` order).
+_Keys = Callable[[Instance, np.ndarray, np.ndarray, np.ndarray, float], tuple]
 
 
-def _lptf_key(dual: DualApproxResult) -> Callable[[ListItem], tuple]:
-    def key(it: ListItem) -> tuple:
-        return (-it.duration / it.task.weight, it.task.task_id)
-
-    return key
-
-
-def _saf_key(dual: DualApproxResult) -> Callable[[ListItem], tuple]:
-    def key(it: ListItem) -> tuple:
-        return (it.allotment * it.duration, it.task.task_id)
-
-    return key
+def _shelf_key(instance, allot, dur, in_big, lam) -> tuple:
+    # Group 0: the big shelf; 2: the "small tasks" of the MT scheme
+    # (p(1) <= lam/2); 1: the rest of the small shelf.  Longest first.
+    seq = instance.times_matrix[:, 0]
+    small = (seq <= lam / 2.0) & np.isfinite(seq)
+    group = np.where(in_big, 0, np.where(small, 2, 1))
+    return (-dur, group)
 
 
-_ORDER_KEYS = {"shelf": _shelf_key, "lptf": _lptf_key, "saf": _saf_key}
+def _lptf_key(instance, allot, dur, in_big, lam) -> tuple:
+    return ((-dur) / instance.weights,)
+
+
+def _saf_key(instance, allot, dur, in_big, lam) -> tuple:
+    return (allot * dur,)
+
+
+_ORDER_KEYS: dict[str, _Keys] = {"shelf": _shelf_key, "lptf": _lptf_key, "saf": _saf_key}
 
 
 def schedule_list_graham(

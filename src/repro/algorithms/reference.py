@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.list_scheduling import ListItem, _place
+from repro.algorithms.list_scheduling import ListItem
 from repro.core.schedule import Schedule
 from repro.core.task import MoldableTask
 from repro.exceptions import SchedulingError
@@ -41,6 +41,17 @@ __all__ = [
     "reference_merge_small_tasks",
     "ReferenceDemtScheduler",
 ]
+
+
+def _place(schedule: Schedule, item: ListItem, start: float) -> None:
+    """The seed's materialisation of one item (task or stack)."""
+    if item.stack:
+        t = start
+        for task in item.stack:
+            schedule.add(task, t, 1)
+            t += task.seq_time
+    else:
+        schedule.add(item.task, start, item.allotment)
 
 
 def reference_list_schedule(
@@ -373,6 +384,31 @@ class ReferenceDemtScheduler(DemtScheduler):
 
     name = "DEMT(reference)"
 
+    def _schedule_detailed_impl(self, instance):
+        """The seed's pipeline glue, over :class:`ListItem` batches."""
+        from repro.algorithms.demt import DemtResult
+
+        if instance.n == 0:
+            return DemtResult(schedule=Schedule(instance.m))
+        dual = self._dual(instance)
+        cstar = dual.lam * self.guess_relaxation
+        batches, starts, t_grid, K, extensions = self._select_batches(instance, cstar)
+        schedule = self._compact(batches, starts, instance.m)
+        improvement = 0.0
+        if self.shuffle_rounds > 0 and len(batches) > 1 and self.compaction == "list":
+            schedule, improvement = self._shuffle_optimise(batches, instance.m, schedule)
+        return DemtResult(
+            schedule=schedule,
+            batches=batches,
+            batch_starts=starts,
+            cmax_estimate=cstar,
+            t_grid=t_grid,
+            K=K,
+            dual=dual,
+            shuffle_improvement=improvement,
+            extension_batches=extensions,
+        )
+
     def _dual(self, instance):
         return reference_dual_approximation(instance)
 
@@ -386,6 +422,7 @@ class ReferenceDemtScheduler(DemtScheduler):
         remaining = {t.task_id: t for t in instance.tasks}
         batches = []
         starts = []
+        extensions = 0
         j = 0
         max_batches = K + 2 + instance.n
         t_last = t_grid[-1]
@@ -403,6 +440,7 @@ class ReferenceDemtScheduler(DemtScheduler):
             if selected:
                 batches.append(selected)
                 starts.append(start)
+                extensions += j >= len(t_grid)
                 for it in selected:
                     for task in it.stack or (it.task,):
                         del remaining[task.task_id]
@@ -411,7 +449,7 @@ class ReferenceDemtScheduler(DemtScheduler):
             raise SchedulingError(
                 f"batch selection left {len(remaining)} tasks unplaced"
             )
-        return batches, starts, t_grid, K
+        return batches, starts, t_grid, K, extensions
 
     def _select_one_batch(self, tasks, length, m):
         from repro.algorithms.knapsack import KnapsackItem, knapsack_select
@@ -449,9 +487,9 @@ class ReferenceDemtScheduler(DemtScheduler):
 
     def _compact(self, batches, starts, m):
         if self.compaction == "shelf":
-            from repro.algorithms.compaction import shelf_placement
+            from repro.algorithms.compaction import Batches, shelf_placement
 
-            return shelf_placement(batches, starts, m)
+            return shelf_placement(Batches.from_items(batches, m), starts)
         if self.compaction == "pull_forward":
             return reference_pull_forward(batches, m)
         return reference_list_compaction(batches, m)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.list_scheduling import ListItem, list_schedule
+from repro.algorithms.list_scheduling import list_schedule
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 
@@ -27,17 +27,16 @@ class SequentialScheduler:
     name = "Sequential"
 
     def schedule(self, instance: Instance) -> Schedule:
-        items: list[ListItem] = []
-        for row, task in enumerate(instance.tasks):
-            if np.isfinite(task.seq_time):
-                allot = 1
-            else:
-                # Smallest allotment with a finite time (rigid-task support).
-                finite = np.isfinite(instance.times_matrix[row])
-                allot = int(np.argmax(finite)) + 1
-            items.append(ListItem(task, allot))
-        items.sort(key=lambda it: (-it.duration, it.task.task_id))
-        return list_schedule(items, instance.m)
+        if instance.n == 0:
+            return Schedule(instance.m)
+        tm = instance.times_matrix
+        finite = np.isfinite(tm)
+        # One processor, or the smallest allotment with a finite time
+        # (rigid-task support).
+        allot = np.where(finite[:, 0], 1, np.argmax(finite, axis=1) + 1)
+        dur = tm[np.arange(instance.n), allot - 1]
+        order = np.lexsort((instance.task_ids, -dur))
+        return list_schedule(instance, order, allot[order], dur[order])
 
 
 def schedule_sequential(instance: Instance) -> Schedule:

@@ -14,8 +14,10 @@ baselines; only the order differs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.dual_approx import DualApproxResult, dual_approximation
-from repro.algorithms.list_scheduling import ListItem, list_schedule
+from repro.algorithms.list_scheduling import list_schedule
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 
@@ -34,11 +36,10 @@ class WsptScheduler:
         if instance.n == 0:
             return Schedule(instance.m)
         dual = self.dual if self.dual is not None else dual_approximation(instance)
-        items = [
-            ListItem(task, dual.allotments[task.task_id]) for task in instance.tasks
-        ]
-        items.sort(key=lambda it: (-it.task.weight / it.duration, it.task.task_id))
-        return list_schedule(items, instance.m)
+        allot, _ = dual.row_allotments(instance)
+        dur = instance.times_matrix[np.arange(instance.n), allot - 1]
+        order = np.lexsort((instance.task_ids, (-instance.weights) / dur))
+        return list_schedule(instance, order, allot[order], dur[order])
 
 
 def schedule_wspt(instance: Instance, dual: DualApproxResult | None = None) -> Schedule:

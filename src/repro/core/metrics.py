@@ -7,7 +7,8 @@ The two criteria the paper optimises jointly (§2.2):
 
 Plus auxiliary statistics used by the experiment analysis (utilisation,
 total work, stretch).  All functions are read-only and accept any
-:class:`~repro.core.schedule.Schedule`.
+:class:`~repro.core.schedule.Schedule`; they read its placement table
+(sums left to right in insertion order, like the seed's loops).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def makespan(schedule: Schedule) -> float:
 
 def completion_sum(schedule: Schedule) -> float:
     """Unweighted sum of completion times ``sum_i C_i``."""
-    return float(sum(p.end for p in schedule))
+    return float(sum(schedule.columns().end.tolist()))
 
 
 def weighted_completion_sum(schedule: Schedule) -> float:
@@ -44,7 +45,8 @@ def weighted_completion_sum(schedule: Schedule) -> float:
 
 def total_work(schedule: Schedule) -> float:
     """Total Gantt area ``sum_i k_i * p_i(k_i)`` consumed by the schedule."""
-    return float(sum(p.work for p in schedule))
+    c = schedule.columns()
+    return float(sum((c.allotment * c.duration).tolist()))
 
 
 def utilization(schedule: Schedule) -> float:
@@ -77,6 +79,5 @@ def mean_weighted_flow(schedule: Schedule) -> float:
     """Average of ``w_i (C_i - r_i)`` — equals minsum/n for off-line inputs."""
     if len(schedule) == 0:
         return 0.0
-    return float(
-        np.mean([p.task.weight * (p.end - p.task.release) for p in schedule])
-    )
+    c = schedule.columns()
+    return float(np.mean(c.weight * (c.end - c.release)))

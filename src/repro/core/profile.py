@@ -51,7 +51,7 @@ def graham_starts(
     *,
     start_time: float = 0.0,
     cutoff: float | None = None,
-) -> tuple[np.ndarray, list[int]] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Graham list scheduling over parallel arrays; returns start times.
 
     Parameters
@@ -73,8 +73,8 @@ def graham_starts(
     Returns
     -------
     ``(starts, order)`` where ``starts[i]`` is item ``i``'s start time and
-    ``order`` lists item indices in chronological placement order (ties in
-    priority order) — the insertion order the seed implementation produced,
+    ``order`` (an int64 array) lists item indices in chronological
+    placement order (ties in priority order) — the insertion order the seed implementation produced,
     which callers preserve so downstream float summations stay identical.
 
     The event loop itself lives in :mod:`repro.kernels` (pure-NumPy
@@ -82,7 +82,7 @@ def graham_starts(
     """
     n = len(allotments)
     if n == 0:
-        return np.empty(0, dtype=np.float64), []
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
     state = obs.ACTIVE
     if state is not None:
         state.count("profile.graham_starts")

@@ -101,12 +101,10 @@ def validate_schedule(
 
 def _check_capacity(schedule: Schedule) -> None:
     """Sweep the event timeline and verify usage never exceeds ``m``."""
-    placements = schedule.placements
-    if not placements:
+    c = schedule.columns()
+    if not c.start.size:
         return
-    starts = np.array([p.start for p in placements])
-    ends = np.array([p.end for p in placements])
-    allot = np.array([p.allotment for p in placements], dtype=np.int64)
+    starts, ends, allot = c.start, c.end, c.allotment
 
     # Merge events; at equal times process ends before starts (half-open
     # intervals [start, end) — a task ending at t frees its processors for a

@@ -186,7 +186,9 @@ def _measure(
         sched = result.schedule
         if validate:
             validate_schedule(sched, inst)
-        flow = float(sum(p.task.weight * (p.end - p.task.release) for p in sched))
+        # Summed left to right in placement order (the builtin sum).
+        c = sched.columns()
+        flow = float(sum((c.weight * (c.end - c.release)).tolist()))
         return (sched.makespan(), flow, result.n_batches, seconds), sched
     if mode == "clairvoyant":
         inst = trace_instance(trace, m, model, online=False)
@@ -198,9 +200,8 @@ def _measure(
         shift = float(trace.submits.min()) if trace.n else 0.0
         makespan = (sched.makespan() + shift) if len(sched) else 0.0
         # C_i = end_i + shift against the *real* releases r_i.
-        flow = float(
-            sum(p.task.weight * (p.end + shift) for p in sched)
-        ) - float(trace.submits.sum())
+        c = sched.columns()
+        flow = float(sum((c.weight * (c.end + shift)).tolist())) - float(trace.submits.sum())
         return (makespan, flow, 1 if len(sched) else 0, seconds), sched
     raise ModelError(f"unknown replay mode {mode!r}; available: {', '.join(REPLAY_MODES)}")
 

@@ -343,9 +343,13 @@ class FaultyBatchPolicy(BatchPolicy):
         est_times = est.times_matrix
         weights = truth.weights
         ids = truth.task_ids
-        task_of = truth._id_index
         row_of = {int(tid): i for i, tid in enumerate(ids.tolist())}
-        place = out._place_trusted
+        # Completed runs in completion order: rows, starts, allotments and
+        # true durations, appended to the schedule once at the end.
+        done_rows: list[int] = []
+        done_starts: list[float] = []
+        done_allots: list[int] = []
+        done_durs: list[float] = []
 
         # Pending queue: (release, id).  Crashes and deferrals push jobs
         # back with their crash/deferral instant as the new release.
@@ -419,14 +423,14 @@ class FaultyBatchPolicy(BatchPolicy):
             alloc: dict[int, int] = {}
             durs: dict[int, float] = {}  # true duration of the running run
             horizon_t = now
-            for p in plan:
-                jid = p.task.task_id
-                alloc[jid] = p.allotment
-                s = now + p.start
+            c = plan.columns()
+            for jid, k, start in zip(
+                c.task_id.tolist(), c.allotment.tolist(), c.start.tolist()
+            ):
+                alloc[jid] = k
+                s = now + start
                 spine.at(s, Transition.START, jid)
-                horizon_t = max(
-                    horizon_t, s + float(truth_times[row_of[jid], p.allotment - 1])
-                )
+                horizon_t = max(horizon_t, s + float(truth_times[row_of[jid], k - 1]))
             batch_cap_end = cap_ptr
             while (
                 batch_cap_end < len(cap_events)
@@ -472,7 +476,10 @@ class FaultyBatchPolicy(BatchPolicy):
                         if resolved is None:
                             continue  # crashed after this FINISH was queued
                         s, k = resolved
-                        place(task_of[jid], s, k, durs[jid])
+                        done_rows.append(row_of[jid])
+                        done_starts.append(s)
+                        done_allots.append(k)
+                        done_durs.append(durs[jid])
                         log.append(Event(t, EventKind.COMPLETED, job_id=jid))
                         unresolved -= 1
                         batch_end = max(batch_end, t)
@@ -506,6 +513,7 @@ class FaultyBatchPolicy(BatchPolicy):
                 raise SchedulingError("batch cannot start and capacity never recovers")
             now = max(min(candidates), witnessed)
 
+        out.add_rows(truth, done_rows, done_starts, done_allots, done_durs)
         obs_state = obs.ACTIVE
         if obs_state is not None:
             if crashes:

@@ -561,18 +561,29 @@ def knapsack_select_core(
     return chosen[:cnt].tolist(), float(total[0]), int(used[0])
 
 
+def _min(cost: np.ndarray) -> int:
+    """Smallest cost (a short row is cheaper to scan than to reduce)."""
+    return min(cost.tolist()) if cost.size <= 32 else int(cost.min())
+
+
 def knapsack_min_work_value_core(
     work_a: np.ndarray, cost_a: np.ndarray, work_b: np.ndarray, m: int
 ) -> float:
     wa = _f64(work_a)
     wb = _f64(work_b)
     cost = _i64(cost_a)
+    n = int(wa.size)
+    # The C loop indexes dp[q - cost] and reads all three arrays n long.
+    if cost.size != n or wb.size != n:
+        raise ValueError("work_a, cost_a and work_b must have the same length")
+    if n and _min(cost) < 0:
+        raise ValueError("cost_a must be non-negative")
     dp = np.empty(m + 1, dtype=np.float64)
     _lib.repro_min_work_value(
         _ptr("double *", wa),
         _ptr("int64_t *", cost),
         _ptr("double *", wb),
-        int(wa.size),
+        n,
         int(m),
         _ptr("double *", dp),
     )
@@ -589,7 +600,7 @@ def knapsack_min_work_core(
     # The C walk indexes dp[q - cost] and steps back by the cost.
     if cost.size != n or wb.size != n:
         raise ValueError("work_a, cost_a and work_b must have the same length")
-    if n and int(cost.min()) < 0:
+    if n and _min(cost) < 0:
         raise ValueError("cost_a must be non-negative")
     dp = np.empty(m + 1, dtype=np.float64)
     in_a = np.zeros(n, dtype=bool)
@@ -638,7 +649,7 @@ def graham_starts_core(
     m: int,
     start_time: float,
     cutoff: float | None,
-) -> tuple[np.ndarray, list[int]] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     allot = _i64(allotments)
     dur = _f64(durations)
     n = int(allot.size)
@@ -661,4 +672,4 @@ def graham_starts_core(
         raise SchedulingError("graham kernel deadlocked (item larger than machine?)")
     if status == -3:  # pragma: no cover - allocation failure
         raise MemoryError("graham kernel allocation failed")
-    return starts, order.tolist()
+    return starts, order

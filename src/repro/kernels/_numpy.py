@@ -210,7 +210,7 @@ def graham_starts_core(
     m: int,
     start_time: float,
     cutoff: float | None,
-) -> tuple[np.ndarray, list[int]] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Graham list-scheduling event loop (see ``core/profile.graham_starts``)."""
     n = len(allotments)
     # The event loop runs on plain Python scalars: element reads/writes on
@@ -274,4 +274,4 @@ def graham_starts_core(
             free += a
         if cutoff is not None and now > cutoff:
             return None
-    return np.asarray(starts, dtype=np.float64), order
+    return np.asarray(starts, dtype=np.float64), np.array(order, dtype=np.int64)

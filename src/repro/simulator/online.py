@@ -17,7 +17,8 @@ name):
     production kernel: batch sub-instances are built by **zero-copy
     columnar restriction** (:meth:`repro.core.instance.Instance.
     from_arrays` over row slices) instead of the seed's per-task object
-    rebuilds, and shifted placements skip re-derivation.  The seed
+    rebuilds, each batch's placement table is shifted with one vector add
+    per column, and the run's schedule is appended once.  The seed
     implementation survives verbatim as
     :class:`repro.simulator.reference.ReferenceBatchScheduler`, the
     differential oracle the tests pin this kernel against bit for bit.
@@ -153,6 +154,12 @@ class BatchPolicy(OnlinePolicy):
     cursor is the :class:`~repro.simulator.events.EventSpine` arrival
     tape, whose ``t + TIME_EPS`` batch-cut window is the same one the
     simulator engine applies when it replays the result.
+
+    Each batch's schedule is read as its placement table: starts move to
+    ``now + start`` in one vector add, ends are ``start + duration`` of
+    the moved starts, and the next batch starts at ``max(now + end)`` of
+    the engine's own ends.  The shifted columns of all batches are
+    appended to the result once, at the end of the run.
     """
 
     name = "batch"
@@ -203,9 +210,7 @@ class BatchPolicy(OnlinePolicy):
         spine = EventSpine(m)
         spine.load_arrivals(rel, ids)
 
-        placements = out._placements
-        by_id = out._by_id
-        shift = object.__setattr__
+        shifted: list[tuple] = []  # each batch's table, moved to its start
         batch_starts: list[float] = []
         batch_contents: list[frozenset[int]] = []
 
@@ -222,7 +227,7 @@ class BatchPolicy(OnlinePolicy):
                 now = nxt
                 continue
             sl = slice(lo, hi)
-            batch_ids = ids[sl].tolist()
+            members = frozenset(ids[sl].tolist())
             state = obs.ACTIVE
             if state is not None:
                 state.count("online.batches")
@@ -241,38 +246,26 @@ class BatchPolicy(OnlinePolicy):
                 validate=False,
             )
             batch_schedule = self._schedule_batch(sub, now)
-            if len(batch_schedule) != len(batch_ids) or (
-                batch_schedule.task_ids() != set(batch_ids)
-            ):
+            if len(batch_schedule) != hi - lo or batch_schedule.task_ids() != members:
                 raise SchedulingError(
                     "off-line scheduler did not place exactly the batch's tasks"
                 )
-            # Shift into the batch window.  The sub-schedule is freshly
-            # built by the engine and referenced nowhere else, so its
-            # placements are *adopted*: shifted in place (``end`` recomputed
-            # as ``start + duration``, the ``_trusted`` arithmetic) and
-            # bulk-appended — no per-placement reconstruction.
-            batch_end = now
-            batch_placements = batch_schedule._placements
-            for p in batch_placements:
-                # The next batch cut is anchored on the engine's ``end``
-                # shifted as one sum (``now + p.end``); the placement's own
-                # ``end`` is the ``_trusted`` arithmetic ``start + duration``
-                # — the two differ in the last ulp, and both are pinned by
-                # the differential oracles.
-                end = now + p.end
-                if end > batch_end:
-                    batch_end = end
-                start = now + p.start
-                shift(p, "start", start)
-                shift(p, "end", start + p.duration)
-            placements.extend(batch_placements)
-            by_id.update(batch_schedule._by_id)
+            # Shift into the batch window with one vector add per column.
+            # The next batch cut is the engine's ends shifted as one sum,
+            # not the shifted placements' own ends (see Schedule._shifted).
+            *table, cut = batch_schedule._shifted(now)
+            shifted.append(table)
             batch_starts.append(now)
-            batch_contents.append(frozenset(batch_ids))
-            now = batch_end
+            batch_contents.append(members)
+            now = cut
 
-        out.__dict__.pop("_events", None)  # placements appended directly
+        # One append per run: the batches' columns joined, their task
+        # sources kept.
+        cols = list(zip(*shifted))
+        out._append(
+            *(col[0] if len(col) == 1 else np.concatenate(col) for col in cols[:5]),
+            [seg for segs in cols[5] for seg in segs],
+        )
         return OnlineResult(
             schedule=out,
             batch_starts=tuple(batch_starts),
@@ -388,11 +381,11 @@ class FcfsOnlinePolicy(OnlinePolicy):
 
         n = instance.n
         allot = rigidify(instance, slack=self.slack)
-        task_of = instance.task_by_id
         ks = np.fromiter(allot.values(), dtype=np.int64, count=n)
         durations = dict(
             zip(allot, instance.times_matrix[np.arange(n), ks - 1].tolist())
         )
+        row_of = dict(zip(allot, range(n)))  # rigidify keeps instance order
 
         # FINISH transitions free processors before simultaneous ARRIVALs
         # enqueue; each window dispatches once.  The waiting queue is a
@@ -413,12 +406,14 @@ class FcfsOnlinePolicy(OnlinePolicy):
         )
         waiting: list[int | None] = []  # arrival order; None = backfilled
         head_i = 0
+        started: list[int] = []  # job ids in start order
+        start_times: list[float] = []
 
         def start(job_id: int, now: float) -> None:
             k = allot[job_id]
-            duration = durations[job_id]
-            out._place_trusted(task_of(job_id), now, k, duration)
-            spine.start(job_id, k, now, now + duration)
+            started.append(job_id)
+            start_times.append(now)
+            spine.start(job_id, k, now, now + durations[job_id])
 
         tombstones = 0
 
@@ -471,6 +466,13 @@ class FcfsOnlinePolicy(OnlinePolicy):
             j is not None for j in waiting[head_i:]
         ):  # pragma: no cover - every start enqueues a completion
             raise SchedulingError("FCFS policy stalled with jobs waiting")
+        out.add_rows(
+            instance,
+            [row_of[j] for j in started],
+            start_times,
+            [allot[j] for j in started],
+            [durations[j] for j in started],
+        )
         return OnlineResult(out, (), ())
 
 

@@ -68,8 +68,8 @@ class WindowedBatchPolicy(BatchPolicy):
         times = instance.times_matrix
         weights = instance.weights
         ids = instance.task_ids
-        task_of = instance._id_index  # materialises task objects once
-        place = out._place_trusted
+        row_of = {tid: i for i, tid in enumerate(ids.tolist())}
+        placed: list[tuple] = []  # (row, start, allotment, duration)
 
         head = 0
         now = float(rel[0])
@@ -102,8 +102,8 @@ class WindowedBatchPolicy(BatchPolicy):
                 )
             batch_end = now
             for p in batch_schedule:
-                place(
-                    task_of[p.task.task_id], now + p.start, p.allotment, p.duration
+                placed.append(
+                    (row_of[p.task.task_id], now + p.start, p.allotment, p.duration)
                 )
                 end = now + p.end
                 if end > batch_end:
@@ -112,6 +112,7 @@ class WindowedBatchPolicy(BatchPolicy):
             batch_contents.append(frozenset(batch_ids))
             now = batch_end
 
+        out.add_rows(instance, *zip(*placed))
         return OnlineResult(
             schedule=out,
             batch_starts=tuple(batch_starts),
@@ -152,6 +153,8 @@ class WindowedFcfsPolicy(FcfsOnlinePolicy):
         allot = rigidify(instance, slack=self.slack)
         task_of = instance.task_by_id
         durations = {tid: task_of(tid).p(k) for tid, k in allot.items()}
+        row_of = dict(zip(allot, range(len(allot))))  # rigidify keeps instance order
+        placed: list[tuple] = []  # (row, start, allotment, duration)
 
         queue = EventWindowQueue((t.release, 1, t.task_id) for t in instance)
         waiting: list[int | None] = []  # arrival order; None = backfilled
@@ -165,7 +168,7 @@ class WindowedFcfsPolicy(FcfsOnlinePolicy):
             duration = durations[job_id]
             free -= k
             running[job_id] = (now + duration, k)
-            out._place_trusted(task_of(job_id), now, k, duration)
+            placed.append((row_of[job_id], now, k, duration))
             queue.push(now + duration, 0, job_id)
 
         def reservation_time(k: int) -> float:
@@ -227,6 +230,7 @@ class WindowedFcfsPolicy(FcfsOnlinePolicy):
             j is not None for j in waiting[head_i:]
         ):  # pragma: no cover - every start enqueues a completion
             raise SchedulingError("FCFS policy stalled with jobs waiting")
+        out.add_rows(instance, *zip(*placed))
         return OnlineResult(out, (), ())
 
 
@@ -256,9 +260,8 @@ class WindowedFaultyBatchPolicy(FaultyBatchPolicy):
         est_times = est.times_matrix
         weights = truth.weights
         ids = truth.task_ids
-        task_of = truth._id_index
         row_of = {int(tid): i for i, tid in enumerate(ids.tolist())}
-        place = out._place_trusted
+        placed: list[tuple] = []  # (row, start, allotment, duration)
 
         pending: list[tuple[float, int]] = [
             (float(r), int(tid)) for r, tid in zip(truth.releases, ids)
@@ -368,7 +371,7 @@ class WindowedFaultyBatchPolicy(FaultyBatchPolicy):
                             continue  # crashed after this completion was queued
                         s, k, dur = running.pop(jid)
                         used -= k
-                        place(task_of[jid], s, k, dur)
+                        placed.append((row_of[jid], s, k, dur))
                         log.append(Event(t, EventKind.COMPLETED, job_id=jid))
                         unresolved -= 1
                         batch_end = max(batch_end, t)
@@ -398,6 +401,7 @@ class WindowedFaultyBatchPolicy(FaultyBatchPolicy):
                 raise SchedulingError("batch cannot start and capacity never recovers")
             now = max(min(candidates), witnessed)
 
+        out.add_rows(truth, *zip(*placed))
         return FaultyOnlineResult(
             schedule=out,
             batch_starts=tuple(batch_starts),

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.compaction import list_compaction, pull_forward, shelf_placement
+from repro.algorithms.compaction import (
+    Batches,
+    list_compaction,
+    pull_forward,
+    shelf_placement,
+)
 from repro.algorithms.list_scheduling import ListItem
 from repro.core.instance import Instance
 from repro.core.validation import validate_schedule
@@ -27,26 +32,26 @@ def make_batches(m=4):
 class TestShelfPlacement:
     def test_tasks_start_at_batch_start(self):
         batches, starts = make_batches()
-        s = shelf_placement(batches, starts, 4)
+        s = shelf_placement(Batches.from_items(batches, 4), starts)
         assert s[0].start == 4.0 and s[1].start == 4.0
         assert s[2].start == 8.0
 
     def test_mismatched_lengths_rejected(self):
         batches, _ = make_batches()
         with pytest.raises(ValueError):
-            shelf_placement(batches, [1.0], 4)
+            shelf_placement(Batches.from_items(batches, 4), [1.0])
 
     def test_feasible(self):
         batches, starts = make_batches()
         tasks = [it.task for b in batches for it in b]
         inst = Instance(tasks, 4)
-        validate_schedule(shelf_placement(batches, starts, 4), inst)
+        validate_schedule(shelf_placement(Batches.from_items(batches, 4), starts), inst)
 
 
 class TestPullForward:
     def test_everything_pulled_to_zero_when_room(self):
         batches, _ = make_batches()
-        s = pull_forward(batches, 4)
+        s = pull_forward(Batches.from_items(batches, 4))
         assert s[0].start == 0.0 and s[1].start == 0.0
         # C needs 3 procs; 2+1 busy until 4 -> starts at 4.
         assert s[2].start == pytest.approx(4.0)
@@ -61,7 +66,7 @@ class TestPullForward:
         wide = make_task(1, 4.0, m=4, speedup="none")  # needs 3 -> waits to 8
         narrow = make_task(2, 4.0, m=4, speedup="none")  # 1 proc, could start 0
         batches = [[ListItem(blocker, 2)], [ListItem(wide, 3), ListItem(narrow, 1)]]
-        s = pull_forward(batches, 4)
+        s = pull_forward(Batches.from_items(batches, 4))
         assert s[1].start == pytest.approx(8.0)
         # narrow is placed after wide but may still fill the early hole:
         # pull-forward starts it at 0 because 2 procs are free there.
@@ -71,13 +76,13 @@ class TestPullForward:
         batches, _ = make_batches()
         tasks = [it.task for b in batches for it in b]
         inst = Instance(tasks, 4)
-        validate_schedule(pull_forward(batches, 4), inst)
+        validate_schedule(pull_forward(Batches.from_items(batches, 4)), inst)
 
 
 class TestListCompaction:
     def test_flattens_and_backfills(self):
         batches, _ = make_batches()
-        s = list_compaction(batches, 4)
+        s = list_compaction(Batches.from_items(batches, 4))
         assert s[0].start == 0.0 and s[1].start == 0.0
         assert s[2].start == pytest.approx(4.0)
 
@@ -85,13 +90,13 @@ class TestListCompaction:
         a = make_task(0, 1.0, m=4, speedup="none")
         b = make_task(1, 1.5, m=4, speedup="none")
         batches = [[ListItem(a, 1, stack=(a, b))]]
-        s = list_compaction(batches, 4)
+        s = list_compaction(Batches.from_items(batches, 4))
         assert s[1].start == pytest.approx(1.0)
 
     def test_never_worse_than_shelf(self):
         batches, starts = make_batches()
-        shelf = shelf_placement(batches, starts, 4)
-        compact = list_compaction(batches, 4)
+        shelf = shelf_placement(Batches.from_items(batches, 4), starts)
+        compact = list_compaction(Batches.from_items(batches, 4))
         assert compact.makespan() <= shelf.makespan() + 1e-9
         assert (
             compact.weighted_completion_sum()
@@ -135,9 +140,9 @@ class TestRefinementChain:
             batches.append(cur)
             starts.append(t)
 
-        shelf = shelf_placement(batches, starts, m)
-        pulled = pull_forward(batches, m)
-        compact = list_compaction(batches, m)
+        shelf = shelf_placement(Batches.from_items(batches, m), starts)
+        pulled = pull_forward(Batches.from_items(batches, m))
+        compact = list_compaction(Batches.from_items(batches, m))
         for sched in (shelf, pulled, compact):
             validate_schedule(sched, inst)
         # Pull-forward never delays a task past its shelf start (no

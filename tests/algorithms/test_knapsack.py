@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.algorithms.knapsack import (
     KnapsackItem,
     knapsack_min_work,
+    knapsack_min_work_value,
     knapsack_select,
     knapsack_select_indices,
 )
@@ -296,3 +302,76 @@ class TestTakeAllShortCircuit:
         assert fast[0] == slow[0][: len(allot)] and len(slow[0]) == len(allot)
         assert fast[1] == slow[1]
         assert fast[2] == slow[2]
+
+
+class TestMinWorkValueRejectsBadCosts:
+    """The value path checks its inputs like the reconstructing path, on
+    every backend.  Each case runs in its own interpreter: a kernel that
+    trusts a bad cost can read outside its buffers and kill the process,
+    which must fail the test rather than pytest."""
+
+    CASES = {
+        "very-negative": "np.array([-1000000, 1, 1])",
+        "negative": "np.array([-3, 1, 1])",
+        "nan": "np.array([np.nan, 1.0, 1.0])",
+        "inf": "np.array([np.inf, 1.0, 1.0])",
+        "negative-float": "np.array([-3.0, 1.0, 1.0])",
+        "short": "np.array([1, 1])",
+    }
+
+    @staticmethod
+    def _run(code: str) -> subprocess.CompletedProcess:
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_value_path_raises_value_error(self, backend, case):
+        if backend != "numpy" and kernels.load_backend(backend) is None:
+            pytest.skip(f"{backend} backend unavailable here")
+        proc = self._run(
+            "import numpy as np\n"
+            "from repro import kernels\n"
+            "from repro.algorithms.knapsack import knapsack_min_work_value\n"
+            f"kernels.set_backend({backend!r})\n"
+            "try:\n"
+            "    knapsack_min_work_value(np.array([1.0, 2.0, 3.0]), "
+            f"{self.CASES[case]}, np.array([5.0, 5.0, 5.0]), 4)\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+            "else:\n"
+            "    print('accepted')\n"
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.strip() == "rejected"
+
+    @pytest.mark.parametrize("case", ["very-negative", "negative", "short"])
+    def test_cffi_core_guards_its_pointers(self, case):
+        if kernels.load_backend("cffi") is None:
+            pytest.skip("cffi backend unavailable here")
+        proc = self._run(
+            "import numpy as np\n"
+            "from repro.kernels import _cffi\n"
+            "try:\n"
+            "    _cffi.knapsack_min_work_value_core(np.array([1.0, 2.0, 3.0]), "
+            f"{self.CASES[case]}, np.array([5.0, 5.0, 5.0]), 4)\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+            "else:\n"
+            "    print('accepted')\n"
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.strip() == "rejected"
+
+    def test_integer_costs_pass_through(self):
+        work_a, work_b = np.array([1.0, 2.0, 3.0]), np.array([5.0, 5.0, 5.0])
+        cost = np.array([2, 1, 1], dtype=np.int64)
+        assert knapsack_min_work_value(work_a, cost, work_b, 4) == knapsack_min_work(
+            work_a, cost.astype(np.float64), work_b, 4
+        )[1]

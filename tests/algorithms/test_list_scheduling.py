@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.list_scheduling import ListItem, list_schedule
+from repro.algorithms.list_scheduling import ListItem, schedule_items
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import validate_schedule
@@ -32,7 +32,7 @@ class TestListSchedule:
         # m=4: tasks of width 2, 2, 2 and unit length -> two at t=0, one at t=1.
         tasks = [make_task(i, 2.0, m=4, speedup="none") for i in range(3)]
         items = [ListItem(t, 2) for t in tasks]
-        s = list_schedule(items, 4)
+        s = schedule_items(items, 4)
         starts = sorted(s[t.task_id].start for t in tasks)
         assert starts == [0.0, 0.0, 2.0]
 
@@ -41,7 +41,7 @@ class TestListSchedule:
         big = make_task(0, 2.0, m=4, speedup="none")
         small1 = make_task(1, 2.0, m=4, speedup="none")
         items = [ListItem(big, 3), ListItem(small1, 2)]
-        s = list_schedule(items, 4)
+        s = schedule_items(items, 4)
         assert s[0].start == 0.0
         assert s[1].start == pytest.approx(2.0)
 
@@ -51,7 +51,7 @@ class TestListSchedule:
         head = make_task(1, 2.0, m=4, speedup="none")
         filler = make_task(2, 2.0, m=4, speedup="none")
         items = [ListItem(blocker, 3), ListItem(head, 4), ListItem(filler, 1)]
-        s = list_schedule(items, 4)
+        s = schedule_items(items, 4)
         assert s[0].start == 0.0
         assert s[2].start == 0.0  # backfilled
         assert s[1].start == pytest.approx(2.0)
@@ -60,13 +60,13 @@ class TestListSchedule:
         a = make_task(0, 2.0, m=4, speedup="none")
         b = make_task(1, 3.0, m=4, speedup="none")
         items = [ListItem(a, 1, stack=(a, b))]
-        s = list_schedule(items, 4)
+        s = schedule_items(items, 4)
         assert s[0].start == 0.0 and s[0].allotment == 1
         assert s[1].start == pytest.approx(2.0) and s[1].allotment == 1
 
     def test_start_time_floor(self):
         t = make_task(0, 1.0, m=2, speedup="none")
-        s = list_schedule([ListItem(t, 1)], 2, start_time=5.0)
+        s = schedule_items([ListItem(t, 1)], 2, start_time=5.0)
         assert s[0].start == pytest.approx(5.0)
 
     def test_append_to_existing_schedule(self):
@@ -74,23 +74,23 @@ class TestListSchedule:
         t0 = make_task(0, 1.0, m=2, speedup="none")
         existing.add(t0, 0.0, 1)
         t1 = make_task(1, 1.0, m=2, speedup="none")
-        out = list_schedule([ListItem(t1, 1)], 2, schedule=existing, start_time=1.0)
+        out = schedule_items([ListItem(t1, 1)], 2, schedule=existing, start_time=1.0)
         assert out is existing and len(out) == 2
 
     def test_oversized_allotment_rejected(self):
         t = make_task(0, 1.0, m=8, speedup="none")
         with pytest.raises(SchedulingError):
-            list_schedule([ListItem(t, 9)], 8)
+            schedule_items([ListItem(t, 9)], 8)
 
     def test_infinite_duration_rejected(self):
         from repro.core.task import rigid_task
 
         t = rigid_task(0, procs=2, time=1.0, m=4)
         with pytest.raises(SchedulingError):
-            list_schedule([ListItem(t, 1)], 4)
+            schedule_items([ListItem(t, 1)], 4)
 
     def test_empty_list(self):
-        s = list_schedule([], 4)
+        s = schedule_items([], 4)
         assert len(s) == 0
 
     def test_never_idle_while_work_fits(self):
@@ -98,7 +98,7 @@ class TestListSchedule:
         # for allotment-1 tasks (classical bound sanity check).
         tasks = [make_task(i, float(i % 5 + 1), m=4, speedup="none") for i in range(20)]
         items = [ListItem(t, 1) for t in tasks]
-        s = list_schedule(items, 4)
+        s = schedule_items(items, 4)
         total_work = sum(t.seq_time for t in tasks)
         longest = max(t.seq_time for t in tasks)
         assert s.makespan() <= total_work / 4 + longest + 1e-9
@@ -113,7 +113,7 @@ class TestListSchedule:
         tasks = [make_task(i, lengths[i], m=m, speedup="none") for i in range(len(widths))]
         inst = Instance(tasks, m)
         items = [ListItem(t, w) for t, w in zip(tasks, widths)]
-        s = list_schedule(items, m)
+        s = schedule_items(items, m)
         validate_schedule(s, inst)
 
     @given(
@@ -127,7 +127,7 @@ class TestListSchedule:
         m - w, so Cmax <= W / (m - w_max + 1) + D_max."""
         tasks = [make_task(i, 3.0, m=m, speedup="none") for i in range(len(widths))]
         items = [ListItem(t, w) for t, w in zip(tasks, widths)]
-        s = list_schedule(items, m)
+        s = schedule_items(items, m)
         W = sum(3.0 * w for w in widths)
         w_max = max(widths)
         assert s.makespan() <= W / (m - w_max + 1) + 3.0 + 1e-9

@@ -12,12 +12,12 @@ from repro.exceptions import SchedulingError
 class TestGrahamStarts:
     def test_empty(self):
         starts, order = graham_starts(np.array([], dtype=np.int64), np.array([]), 4)
-        assert starts.size == 0 and order == []
+        assert starts.size == 0 and order.tolist() == []
 
     def test_sequentialises_on_one_processor(self):
         starts, order = graham_starts([1, 1, 1], [2.0, 3.0, 1.0], 1)
         assert starts.tolist() == [0.0, 2.0, 5.0]
-        assert order == [0, 1, 2]
+        assert order.tolist() == [0, 1, 2]
 
     def test_parallel_fill(self):
         # Two fit side by side; the third waits for the earliest completion.
@@ -31,7 +31,7 @@ class TestGrahamStarts:
         assert starts[0] == 0.0
         assert starts[2] == 0.0
         assert starts[1] == 4.0
-        assert order == [0, 2, 1]
+        assert order.tolist() == [0, 2, 1]
 
     def test_start_time_offset(self):
         starts, _ = graham_starts([1], [1.0], 2, start_time=5.5)

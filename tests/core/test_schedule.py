@@ -145,3 +145,106 @@ class TestProcessorAssignment:
         s = two_task_schedule()
         asg = s.assign_processors()
         assert len(asg[0]) == 2 and len(asg[1]) == 3
+
+
+class TestBulkAppend:
+    """``add_rows`` (the bulk form every producer uses) rejects each input
+    class ``add`` rejects, with the same exception type, and places
+    nothing when it does."""
+
+    @staticmethod
+    def _instance(m: int = 4):
+        from repro.core.instance import Instance
+
+        tasks = [MoldableTask(i, [4.0, 2.0, 1.5, np.inf], weight=1.0 + i) for i in range(3)]
+        return Instance(tasks, m)
+
+    def _both_reject(self, inst, schedule_rows, schedule_add, rows, starts, allots):
+        """``add_rows`` and ``add`` over the same placements raise the same type."""
+        durations = [float(inst.times_matrix[r, k - 1]) if 1 <= k <= inst.m else 1.0
+                     for r, k in zip(rows, allots)]
+        with pytest.raises(InvalidScheduleError) as bulk:
+            schedule_rows.add_rows(inst, rows, starts, allots, durations)
+        with pytest.raises(InvalidScheduleError) as single:
+            for r, s, k in zip(rows, starts, allots):
+                schedule_add.add(inst.tasks[r], s, k)
+        assert type(bulk.value) is type(single.value)
+
+    @pytest.mark.parametrize(
+        "rows,starts,allots",
+        [
+            ([0, 0], [0.0, 1.0], [1, 1]),  # duplicate within one append
+            ([0, 1], [0.0, 0.0], [0, 1]),  # allotment 0
+            ([0, 1], [0.0, 0.0], [1, 5]),  # allotment m + 1
+            ([0, 1], [0.0, 0.0], [1, 4]),  # p(4) = +inf
+            ([0, 1], [0.0, -0.5], [1, 2]),  # negative start
+        ],
+        ids=["duplicate", "allotment-0", "allotment-m+1", "inf-duration", "negative-start"],
+    )
+    def test_rejects_what_add_rejects(self, rows, starts, allots):
+        inst = self._instance()
+        bulk, single = Schedule(inst.m), Schedule(inst.m)
+        self._both_reject(inst, bulk, single, rows, starts, allots)
+        assert len(bulk) == 0 and bulk.makespan() == 0.0
+
+    def test_inf_duration_given_directly_rejected(self):
+        inst = self._instance()
+        with pytest.raises(InvalidScheduleError, match="forbidden"):
+            Schedule(inst.m).add_rows(inst, [0], [0.0], [1], [np.inf])
+
+    def test_duplicate_across_appends(self):
+        inst = self._instance()
+        bulk, single = Schedule(inst.m), Schedule(inst.m)
+        bulk.add_rows(inst, [0, 1], [0.0, 0.0], [1, 1], [4.0, 4.0])
+        single.add(inst.tasks[0], 0.0, 1)
+        single.add(inst.tasks[1], 0.0, 1)
+        self._both_reject(inst, bulk, single, [2, 1], [4.0, 4.0], [1, 1])
+        assert len(bulk) == 2 and bulk.task_ids() == {0, 1}
+        with pytest.raises(InvalidScheduleError, match="twice"):
+            bulk.add(inst.tasks[0], 9.0, 1)
+
+    def test_block_matches_single_adds(self):
+        inst = self._instance()
+        bulk = Schedule(inst.m)
+        bulk.add_rows(inst, [2, 0], [0.0, 1.0], [2, 1], [2.0, 4.0])
+        single = Schedule(inst.m)
+        single.add(inst.tasks[2], 0.0, 2)
+        single.add(inst.tasks[0], 1.0, 1)
+        assert [(p.task.task_id, p.start, p.allotment, p.duration, p.end) for p in bulk] == [
+            (p.task.task_id, p.start, p.allotment, p.duration, p.end) for p in single
+        ]
+        assert bulk.weighted_completion_sum() == single.weighted_completion_sum()
+        assert bulk[0].task is inst.tasks[0]
+
+
+class TestPlacementTable:
+    def test_columns_in_insertion_order(self):
+        s = two_task_schedule()
+        s.add(make_task(7, 2.0, m=4, weight=3.0), 1.0, 1)
+        c = s.columns()
+        assert c.task_id.tolist() == [0, 1, 7]
+        assert c.start.tolist() == [0.0, 4.0, 1.0]
+        assert c.allotment.tolist() == [2, 3, 1]
+        assert c.end.tolist() == (c.start + c.duration).tolist()
+        assert c.weight.tolist() == [1.0, 2.0, 3.0]
+        assert not c.start.flags.writeable
+
+    def test_views_are_python_scalars(self):
+        p = next(iter(two_task_schedule()))
+        assert type(p.start) is float and type(p.end) is float
+        assert type(p.allotment) is int
+
+    def test_weighted_sum_is_builtin_left_to_right(self):
+        s = Schedule(m=1)
+        weights = [1e16, 1.0, -1e16 + 2.0, 3.0]
+        for i, w in enumerate(weights):
+            s.add(MoldableTask(i, [1.0], weight=abs(w)), float(i), 1)
+        expected = sum(abs(w) * (i + 1.0) for i, w in enumerate(weights))
+        assert s.weighted_completion_sum() == expected
+
+    def test_appending_invalidates_cached_views(self):
+        s = two_task_schedule()
+        assert len(s.placements) == 2 and s.max_usage() == 3
+        s.add(make_task(2, 4.0, m=4), 0.0, 1)
+        assert len(s.placements) == 3 and 2 in s and s[2].start == 0.0
+        assert s.max_usage() == 3

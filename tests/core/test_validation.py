@@ -83,11 +83,11 @@ class TestViolations:
         validate_schedule(s, inst, check_releases=False)
 
     def test_duration_shorter_than_p_k(self):
-        # A trusted placement skips the p(k) derivation; the validator must
-        # still catch a duration that disagrees with the task's p(k).
+        # The bulk append stores the durations it is given; the validator
+        # must catch a duration that disagrees with the task's p(k).
         inst = make_instance(n=1, m=4, seq_time=8.0)
         s = Schedule(m=4)
-        s._place_trusted(inst[0], 0.0, 2, inst[0].p(2) / 2)
+        s.add_rows(inst, [0], [0.0], [2], [inst[0].p(2) / 2])
         with pytest.raises(InvalidScheduleError, match="duration"):
             validate_schedule(s, inst)
 

@@ -34,6 +34,12 @@ compared with ``==`` by the regression suites:
   cells), on the four families up to n=1000, ``m = 1``, object-backed
   ragged, rigid and non-monotone instances and a 3000-job archive under
   every moldability model (``tests/algorithms/test_dual_approx.py``).
+* ``list_goldens.json`` — List, LPTF, SAF, WSPT, Sequential and Gang on
+  the four families, object-backed ragged and rigid instances and a
+  3000-job archive under every moldability model, plus the on-line
+  ``greedy-interval`` and ``reservation`` policies on the SWF fixtures:
+  ``cmax``, ``minsum``, the schedule's sha256 and a sha256 over the task
+  ids in insertion order (``tests/algorithms/test_list_goldens.py``).
 
 Regenerate ONLY when an intentional behavioral change is made (and say so
 in the commit message):
@@ -698,6 +704,105 @@ def dual_golden_cells() -> list[dict]:
     return cells
 
 
+LIST_GOLDEN_PATH = Path(__file__).with_name("list_goldens.json")
+
+#: The list-scheduling engines without a placement-level golden elsewhere
+#: (registry names), on the four families at :data:`LIST_SIZES`, on
+#: object-backed instances (:data:`LIST_OBJECT_CELLS`) and on
+#: :data:`DUAL_ARCHIVE` under every moldability model.
+LIST_ENGINES = ("List Scheduling", "LPTF", "SAF", "WSPT", "Sequential", "Gang")
+LIST_SIZES = ((25, 13), (400, 200), (1000, 64))  # (n, m)
+LIST_OBJECT_CELLS = (("ragged", 60, 16), ("ragged", 30, 64), ("rigid", 60, 16), ("rigid", 5, 16))
+#: On-line batch policies pinned only by the windowed oracles before, on
+#: the SWF fixtures; the reservations are those of
+#: ``tests/simulator/test_spine.py::test_reservation_policy_bit_identical``.
+LIST_ONLINE_POLICIES = ("greedy-interval", "reservation")
+LIST_RESERVATIONS = ((0.0, 30.0, 3), (45.0, 60.0, 5))
+
+
+def insertion_sha256(schedule) -> str:
+    """sha256 over the ``repr`` of every placement's task id, in insertion
+    order (the order ``weighted_completion_sum`` adds in)."""
+    h = hashlib.sha256()
+    for p in schedule:
+        h.update(repr(p.task.task_id).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def list_schedule_doc(schedule) -> dict:
+    """The recorded fields of one list-scheduling golden cell."""
+    return {
+        "cmax": schedule.makespan(),
+        "minsum": schedule.weighted_completion_sum(),
+        "schedule_sha256": schedule_sha256(schedule),
+        "insertion_sha256": insertion_sha256(schedule),
+    }
+
+
+def list_online_policy(name: str):
+    """The on-line policy of a list golden cell (DEMT engine)."""
+    from repro.algorithms.demt import schedule_demt
+    from repro.extensions.reservations import Reservation
+    from repro.simulator.online import get_policy
+
+    if name == "reservation":
+        blocked = [Reservation(*r) for r in LIST_RESERVATIONS]
+        return get_policy(name, offline=schedule_demt, reservations=blocked)
+    return get_policy(name, offline=schedule_demt)
+
+
+def list_golden_instance(cell: dict):
+    """Rebuild the instance of one list golden cell."""
+    from repro.workloads.trace import load_trace, trace_instance
+
+    source = cell["source"]
+    if source == "archive":
+        return trace_instance(dual_archive(), DUAL_ARCHIVE["m"], cell["model"], online=False)
+    if source == "fixture":
+        trace = load_trace(TRACES_DIR / cell["fixture"])
+        return trace_instance(trace, cell["m"], cell["model"], online=True)
+    n, m = cell["n"], cell["m"]
+    if source in DUAL_OBJECT_SHAPES:
+        return dual_object_instance(source, n, m)
+    return generate_workload(source, n=n, m=m, seed=derive_rng(GOLDEN_SEED, "list", source, n, m))
+
+
+def list_golden_schedule(cell: dict, instance):
+    """The schedule of one list golden cell."""
+    if cell["source"] == "fixture":
+        return list_online_policy(cell["engine"]).run(instance).schedule
+    return get_algorithm(cell["engine"]).schedule(instance)
+
+
+def list_golden_cells() -> list[dict]:
+    from repro.workloads.trace import MOLDABILITY_MODELS
+
+    specs = [
+        {"source": kind, "n": n, "m": m}
+        for kind in GOLDEN_FAMILIES
+        for n, m in LIST_SIZES
+    ]
+    specs += [{"source": shape, "n": n, "m": m} for shape, n, m in LIST_OBJECT_CELLS]
+    specs += [
+        {"source": "archive", "model": model, "n": DUAL_ARCHIVE["n"], "m": DUAL_ARCHIVE["m"]}
+        for model in MOLDABILITY_MODELS
+    ]
+    specs = [{**spec, "engine": engine} for spec in specs for engine in LIST_ENGINES]
+    specs += [
+        {"source": "fixture", "fixture": name, "model": model, "m": m, "engine": policy}
+        for name, (_kwargs, m) in TRACE_FIXTURES.items()
+        for model in MOLDABILITY_MODELS
+        for policy in LIST_ONLINE_POLICIES
+    ]
+    cells = []
+    for spec in specs:
+        inst = list_golden_instance(spec)
+        schedule = list_golden_schedule(spec, inst)
+        cells.append({**spec, "n": inst.n, **list_schedule_doc(schedule)})
+    return cells
+
+
 def main() -> None:
     payload = {
         "_meta": {
@@ -839,6 +944,25 @@ def main() -> None:
     }
     DUAL_GOLDEN_PATH.write_text(json.dumps(dual_payload, indent=1) + "\n")
     print(f"wrote {len(dual_payload['cells'])} dual cells to {DUAL_GOLDEN_PATH}")
+
+    list_payload = {
+        "_meta": {
+            "seed": GOLDEN_SEED,
+            "archive": DUAL_ARCHIVE,
+            "reservations": [list(r) for r in LIST_RESERVATIONS],
+            "comment": (
+                "Bit-exact list-scheduling engines (List, LPTF, SAF, WSPT, "
+                "Sequential, Gang) and the on-line greedy-interval and "
+                "reservation policies: cmax, minsum, a sha256 over the "
+                "(task_id, start, allotment, end) reprs in task-id order and "
+                "a sha256 over the task ids in insertion order; regenerate "
+                "with tests/data/make_goldens.py only for intentional changes."
+            ),
+        },
+        "cells": list_golden_cells(),
+    }
+    LIST_GOLDEN_PATH.write_text(json.dumps(list_payload, indent=1) + "\n")
+    print(f"wrote {len(list_payload['cells'])} list cells to {LIST_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -27,15 +27,13 @@ def setup():
     return inst, sched
 
 
-def rebuild(sched: Schedule, mutate) -> Schedule:
-    """Copy a schedule through a placement-level mutation function."""
-    out = Schedule(sched.m)
-    for i, p in enumerate(sched):
-        q = mutate(i, p)
-        if q is not None:
-            out._placements.append(q)  # bypass add() checks: corruption!
-            out._by_id[q.task.task_id] = q
-    return out
+def rebuild(sched: Schedule, mutate, extra=()) -> Schedule:
+    """Copy a schedule through a placement-level mutation function (plus
+    ``extra`` placements).  ``Schedule(m, placements)`` adopts placements
+    as they are and rejects only a duplicate id, so every corruption
+    reaches the validator."""
+    kept = [q for i, p in enumerate(sched) if (q := mutate(i, p)) is not None]
+    return Schedule(sched.m, [*kept, *extra])
 
 
 class TestScheduleCorruptions:
@@ -84,9 +82,7 @@ class TestScheduleCorruptions:
         from tests.conftest import make_task
 
         intruder = make_task(999, 1.0, m=8)
-        bad = rebuild(sched, lambda i, p: p)
-        bad._placements.append(ScheduledTask(intruder, 0.0, 1))
-        bad._by_id[999] = bad._placements[-1]
+        bad = rebuild(sched, lambda i, p: p, extra=[ScheduledTask(intruder, 0.0, 1)])
         with pytest.raises(InvalidScheduleError, match="unknown task"):
             validate_schedule(bad, inst)
 

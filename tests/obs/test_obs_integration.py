@@ -51,6 +51,30 @@ class TestBitIdentity:
         assert any(k.startswith("kernel.dispatch.") for k in state.counters)
         assert {s.name for s in state.spans} >= {"demt", "dual_approximation"}
 
+    def test_demt_counts_extension_batches(self):
+        # The doubling extension beyond the paper's K + 1 batches, counted
+        # once per call beside demt.batches: on the replay-demt archive it
+        # builds 439 of the 453 rigid batches and none of the 13 downey ones.
+        import io
+
+        from repro.algorithms.demt import DemtScheduler
+        from repro.workloads.trace import load_trace, synthesize_swf, trace_instance
+
+        trace = load_trace(io.StringIO(synthesize_swf(3000, 64, 200400, load=0.8)))
+        got = {}
+        for model in ("rigid", "downey"):
+            inst = trace_instance(trace, 64, model, online=False)
+            obs.enable()
+            result = DemtScheduler().schedule_detailed(inst)
+            state = obs.disable()
+            got[model] = (
+                state.counters["demt.extension_batches"],
+                state.counters["demt.batches"],
+            )
+            assert result.extension_batches == got[model][0]
+            assert result.n_batches == len(result.batches)
+        assert got == {"rigid": (439, 453), "downey": (0, 13)}
+
     def test_online_replay_identical_with_obs_enabled(self):
         from repro.algorithms.wspt import schedule_wspt
         from repro.simulator.online import BatchPolicy

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.algorithms.compaction import list_compaction, pull_forward
@@ -92,20 +93,24 @@ class TestOldVsNew:
         inst = self._instance(kind, n, m, r)
         dual = dual_approximation(inst)
         items = [ListItem(t, dual.allotments[t.task_id]) for t in inst.tasks]
+        rows = np.arange(inst.n)
+        allot, _ = dual.row_allotments(inst)
+        durations = inst.times_matrix[rows, allot - 1]
         _same_schedule(
-            reference_list_schedule(items, m), list_schedule(items, m)
+            reference_list_schedule(items, m), list_schedule(inst, rows, allot, durations)
         )
 
     def test_compaction_identical(self, kind, n, m, r):
         """pull_forward (FreeProfile) and list_compaction (kernel) vs the
         seed's quadratic rescans, on real DEMT batches."""
         inst = self._instance(kind, n, m, r)
-        batches = DemtScheduler().schedule_detailed(inst).batches
+        result = DemtScheduler().schedule_detailed(inst)
+        batches = result.batches
         _same_schedule(
-            reference_pull_forward(batches, m), pull_forward(batches, m)
+            reference_pull_forward(batches, m), pull_forward(result.table)
         )
         _same_schedule(
-            reference_list_compaction(batches, m), list_compaction(batches, m)
+            reference_list_compaction(batches, m), list_compaction(result.table)
         )
 
 
