@@ -1,11 +1,13 @@
 """Shared benchmark harness: best-of-N timing and the JSON emit contract.
 
-Every ``bench_*.py`` that records a checked-in ``BENCH_PR*.json`` follows
-the same protocol, factored here so new benches cannot drift from it:
+Three benches beside the suite record a checked-in ``BENCH_PR*.json``
+(``bench_pareto.py``, ``bench_obs_overhead.py`` and
+``bench_backend_scaling.py``); each measures something no suite workload
+runs.  They follow one protocol, factored here so they cannot drift:
 
-* **Best-of-N timing** (:func:`best_of`, :class:`TimedEngine`) — gates
-  compare the *best* rep, so single-shot scheduler-noise spikes on
-  shared CI runners don't poison a recorded baseline.
+* **Best-of-N timing** (:func:`best_of`) — gates compare the *best* rep,
+  so single-shot scheduler-noise spikes on shared CI runners don't
+  poison a recorded baseline.
 * **Write-before-gate emit** (:func:`emit_bench_doc`) — the measurement
   is written before any assertion fires (the CI artifact of a failed
   gate is exactly what a flake diagnosis needs); overwriting the
@@ -32,24 +34,6 @@ import platform
 import time
 from pathlib import Path
 from typing import Any, Callable
-
-
-class TimedEngine:
-    """Wrap an off-line engine, accumulating the seconds spent inside it.
-
-    Replay benches race two wrappers around the *same* engine;
-    subtracting the engine's time isolates the wrapper under test.
-    """
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.seconds = 0.0
-
-    def __call__(self, instance):
-        t0 = time.perf_counter()
-        out = self.fn(instance)
-        self.seconds += time.perf_counter() - t0
-        return out
 
 
 def best_of(fn: Callable[[], Any], reps: int = 2) -> tuple[Any, float]:

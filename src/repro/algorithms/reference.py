@@ -9,8 +9,8 @@ Used by
 
 * ``tests/properties/`` — the differential suite runs both paths on a
   randomized corpus and asserts identical placements;
-* ``benchmarks/bench_fig7_timing.py`` — :class:`ReferenceDemtScheduler`
-  is the baseline of the vectorized-core speedup measurement;
+* ``tests/algorithms/test_demt.py`` — :class:`ReferenceDemtScheduler`
+  is the oracle of the production DEMT loop;
 * ``tests/algorithms/test_merge.py`` — :func:`reference_merge_small_tasks`
   is the oracle of the columnar merge.
 
@@ -378,8 +378,7 @@ class ReferenceDemtScheduler(DemtScheduler):
     Seed dual approximation, seed object selection loop (per-task
     admissibility scan, object merge, item-object knapsack), seed
     compaction and seed shuffle loop — the full pre-vectorization
-    behavior, for differential tests and as the baseline of the speedup
-    benchmark in ``benchmarks/bench_fig7_timing.py``.
+    behavior, for the differential tests.
     """
 
     name = "DEMT(reference)"

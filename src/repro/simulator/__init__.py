@@ -19,10 +19,10 @@ a front-end job queue.  This package provides:
   :class:`~repro.simulator.events.EventSpine`;
 * :mod:`repro.simulator.reference` — the seed batch scheduler, preserved
   verbatim as the differential oracle of the policy kernel;
-* :mod:`repro.simulator.windowed` — the pre-spine policy loops (PR 5/7
-  generation), frozen as a second differential oracle layer (imported
-  lazily by the test suite, not re-exported here, because it reaches
-  into :mod:`repro.faults`).
+* :mod:`repro.simulator.windowed` — the pre-spine FCFS dispatcher and
+  faulty batch loop, frozen as the differential oracles of their spine
+  ports (imported lazily by the test suite, not re-exported here,
+  because it reaches into :mod:`repro.faults`).
 """
 
 from repro.simulator.cluster import Cluster

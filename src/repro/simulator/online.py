@@ -45,9 +45,11 @@ All policies run on the same primitives as
 :class:`~repro.simulator.events.EventSpine` with its
 :data:`~repro.core.validation.TIME_EPS` arrival/event windowing — so
 "simultaneous" means the same thing when a schedule is produced and when
-it is replayed on the simulated cluster.  The pre-spine generation of
-these loops survives verbatim in :mod:`repro.simulator.windowed` as the
-differential oracle layer the tests pin this module against bit for bit.
+it is replayed on the simulated cluster.  The tests pin the batch
+policies bit for bit against the seed
+:class:`~repro.simulator.reference.ReferenceBatchScheduler`, and the FCFS
+dispatchers against their pre-spine copy in
+:mod:`repro.simulator.windowed`.
 """
 
 from __future__ import annotations

@@ -16,13 +16,13 @@ gaps, where the seed's private ``1e-12`` cut disagreed with the simulator
 engine's event windowing — see the boundary-case tests in
 ``tests/simulator/test_policies.py``.
 
-This module is the oldest layer of a two-generation oracle stack: the
-PR-5 *windowed* loops (the first columnar rewrite, per-batch
-fancy-index sub-instances on the raw :class:`~repro.simulator.events.
-EventWindowQueue`) are frozen alongside in
-:mod:`repro.simulator.windowed`, and the production kernels now run on
-the incremental :class:`~repro.simulator.events.EventSpine`.
-``tests/simulator/test_spine.py`` pins spine == windowed == seed.
+It is the oracle of the batch policies: the production kernels run on
+the incremental :class:`~repro.simulator.events.EventSpine`, and
+``tests/simulator/test_spine.py`` pins ``batch`` and ``greedy-interval``
+against this loop around the same engine (``reservation``, whose batches
+depend on their start time, is pinned by its recorded goldens).  The
+FCFS dispatcher and the faulty loop have no seed version; their frozen
+pre-spine copies live in :mod:`repro.simulator.windowed`.
 
 Do not "fix" or optimise this module: its value is that it does not move.
 """

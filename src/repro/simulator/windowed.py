@@ -2,15 +2,16 @@
 
 When the on-line policies were ported onto the incremental
 :class:`~repro.simulator.events.EventSpine`, the previous generation of
-loops — the columnar batch kernel that rebuilt one
-:meth:`~repro.core.instance.Instance.from_arrays` sub-instance per batch,
-and the FCFS dispatcher that re-sorted its running set per EASY
-reservation query — moved here *verbatim* (like the seed's
-:class:`~repro.simulator.reference.ReferenceBatchScheduler` before them).
-They are intentionally unoptimised snapshots: the differential suites run
-every registry policy on both paths and require bit-identical schedules,
-so any behavioural drift in the spine port is caught against code that
-provably produced the golden corpora.
+the FCFS dispatcher (which re-sorted its running set per EASY
+reservation query) and of the faulty batch loop (a per-batch untyped
+queue and hand-rolled running dict) moved here *verbatim*.  They are
+intentionally unoptimised snapshots and the only second implementation
+of these two loops: ``tests/simulator/test_spine.py`` runs both paths on
+random instances, fault-injected runs included, and requires
+bit-identical schedules, so any behavioural drift in the spine port is
+caught against code that provably produced the golden corpora.  The
+batch policies need no copy here: they are pinned against the seed
+:class:`~repro.simulator.reference.ReferenceBatchScheduler`.
 
 Do not "fix" or optimise this module; it exists to stay behind.
 """
@@ -18,7 +19,6 @@ Do not "fix" or optimise this module; it exists to stay behind.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
 
 import numpy as np
 
@@ -29,107 +29,12 @@ from repro.exceptions import SchedulingError
 from repro.faults.failures import FaultyBatchPolicy, FaultyOnlineResult
 from repro.faults.noise import perturb_instance
 from repro.simulator.events import Event, EventKind, EventLog, EventWindowQueue
-from repro.simulator.online import (
-    BatchPolicy,
-    FcfsOnlinePolicy,
-    GreedyIntervalPolicy,
-    OnlineResult,
-    ReservationPolicy,
-)
+from repro.simulator.online import FcfsOnlinePolicy, OnlineResult
 
-__all__ = [
-    "WindowedBatchPolicy",
-    "WindowedGreedyIntervalPolicy",
-    "WindowedReservationPolicy",
-    "WindowedFcfsPolicy",
-    "WindowedFaultyBatchPolicy",
-    "WINDOWED_POLICIES",
-]
+__all__ = ["WindowedFcfsPolicy", "WindowedFaultyBatchPolicy"]
 
 #: The untyped event priorities the pre-spine faulty loop pushed.
 _PRIO_COMPLETE, _PRIO_CAPACITY, _PRIO_START = 0, 1, 2
-
-
-class WindowedBatchPolicy(BatchPolicy):
-    """The PR 5 batch kernel: per-batch ``from_arrays`` row-copy rebuilds,
-    placements re-bound to the parent instance's materialised tasks."""
-
-    name = "windowed-batch"
-
-    def run(self, instance: Instance) -> OnlineResult:
-        m = instance.m
-        out = Schedule(m)
-        n = instance.n
-        if n == 0:
-            return OnlineResult(out, (), ())
-
-        order = self._arrival_order(instance)
-        rel = instance.releases[order]
-        times = instance.times_matrix
-        weights = instance.weights
-        ids = instance.task_ids
-        row_of = {tid: i for i, tid in enumerate(ids.tolist())}
-        placed: list[tuple] = []  # (row, start, allotment, duration)
-
-        head = 0
-        now = float(rel[0])
-        batch_starts: list[float] = []
-        batch_contents: list[frozenset[int]] = []
-
-        while head < n:
-            cut = int(np.searchsorted(rel, now + TIME_EPS, side="right"))
-            if cut <= head:
-                now = float(rel[head])
-                continue
-            idx = order[head:cut]
-            head = cut
-            batch_ids = ids[idx].tolist()
-
-            sub = Instance.from_arrays(
-                times[idx],
-                weights[idx],
-                None,
-                m,
-                task_ids=ids[idx],
-                validate=False,
-            )
-            batch_schedule = self._schedule_batch(sub, now)
-            if len(batch_schedule) != len(batch_ids) or (
-                batch_schedule.task_ids() != set(batch_ids)
-            ):
-                raise SchedulingError(
-                    "off-line scheduler did not place exactly the batch's tasks"
-                )
-            batch_end = now
-            for p in batch_schedule:
-                placed.append(
-                    (row_of[p.task.task_id], now + p.start, p.allotment, p.duration)
-                )
-                end = now + p.end
-                if end > batch_end:
-                    batch_end = end
-            batch_starts.append(now)
-            batch_contents.append(frozenset(batch_ids))
-            now = batch_end
-
-        out.add_rows(instance, *zip(*placed))
-        return OnlineResult(
-            schedule=out,
-            batch_starts=tuple(batch_starts),
-            batch_contents=tuple(batch_contents),
-        )
-
-
-class WindowedGreedyIntervalPolicy(WindowedBatchPolicy, GreedyIntervalPolicy):
-    """Greedy-interval engine on the pre-spine batch loop."""
-
-    name = "windowed-greedy-interval"
-
-
-class WindowedReservationPolicy(WindowedBatchPolicy, ReservationPolicy):
-    """Reservation-aware batches on the pre-spine batch loop."""
-
-    name = "windowed-reservation"
 
 
 class WindowedFcfsPolicy(FcfsOnlinePolicy):
@@ -411,15 +316,3 @@ class WindowedFaultyBatchPolicy(FaultyBatchPolicy):
             log=log,
         )
 
-
-#: Spine policy name -> frozen pre-spine factory producing the same
-#: schedules — the oracle axis of the differential suites.
-WINDOWED_POLICIES: dict[str, Callable] = {
-    "batch": WindowedBatchPolicy,
-    "fcfs": lambda offline=None, **kw: WindowedFcfsPolicy(backfill=False, **kw),
-    "fcfs-backfill": lambda offline=None, **kw: WindowedFcfsPolicy(
-        backfill=True, **kw
-    ),
-    "greedy-interval": WindowedGreedyIntervalPolicy,
-    "reservation": WindowedReservationPolicy,
-}

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Check the exact work counts of a traced smoke benchmark run.
+"""Check the exact work counts and the layer times of a traced smoke run.
 
 The traced smoke pass of the benchmark suite counts the work every layer
 does: Graham kernel calls and tasks, DEMT selection rounds and pool rows,
@@ -13,29 +13,46 @@ that runs extra rounds changes them, whatever the host's speed.
 is left out: the cell journal stores measured seconds, so its size moves
 by a few bytes between runs.
 
+A layer can also get slower while doing the same work, e.g. when a
+columnar path falls back to a per-line or per-object one.
+``smoke_times.json`` holds the median of every ``*.self_s`` layer metric
+over the recorded runs, each run scaled to reference host speed by the
+two host-speed readings around its traced pass
+(``benchmarks/suite/hostspeed.py``).  A layer whose recorded median is
+at least ``TIME_FLOOR_S`` fails when it takes more than ``TIME_BOUND``
+times that median; below the floor a smoke-size layer is mostly timer
+noise.  Only slowing down fails: after a layer gets faster on purpose,
+record again so that its bound tightens.
+
 Usage, from the repository root::
 
     python3 benchmarks/suite/run.py --size smoke --reps 1 --trace 1 --json smoke.json
-    python tests/data/check_smoke_counts.py smoke.json            # compare
-    python tests/data/check_smoke_counts.py smoke.json --record   # rewrite the table
+    python tests/data/check_smoke_counts.py smoke.json                 # compare
+    python tests/data/check_smoke_counts.py smoke-*.json --record      # rewrite the tables
 
-Record only for an intentional change of the work a layer does, and say
-so in the commit message.  The exit code is 1 when a count differs.
+``--record`` takes the counts (which must agree between the runs given)
+and the median times of all the runs given; record from five or more
+fresh runs on a quiet machine.  Record only for an intentional change of
+the work or the speed of a layer, and say so in the commit message.  The
+exit code is 1 when a count differs or a layer is too slow.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 
+import hostspeed  # noqa: E402
 import tracing  # noqa: E402
 
 TABLE_PATH = Path(__file__).with_name("smoke_counts.json")
+TIMES_PATH = Path(__file__).with_name("smoke_times.json")
 
 #: Count metrics that are not a function of the code and the seed.
 EXCLUDED = frozenset({"experiments.cache.journal_bytes"})
@@ -47,17 +64,46 @@ EXACT = tuple(
     if unit in ("count", "bytes") and name not in EXCLUDED
 )
 
+#: The timed metrics: every layer's self time.
+TIMED = tuple(name for name, _unit in tracing.PER_LAYER if name.endswith(".self_s"))
 
-def counts_of(record: dict) -> dict[str, dict[str, int]]:
-    """``{workload: {metric: count}}`` of a ``run.py --json`` record."""
-    table = {}
+#: A layer fails when it takes more than this times its recorded median.
+TIME_BOUND = 2.0
+#: Layers whose recorded median is below this many seconds are not gated.
+TIME_FLOOR_S = 0.002
+
+
+def smoke_runs(record: dict) -> list[dict]:
+    """The runs of a ``run.py --json`` record, each a traced smoke run."""
     for run in record["runs"]:
         if run["size"] != "smoke" or not run["layers"]:
             raise SystemExit(
                 f"{run['workload']}: not a traced smoke run (--size smoke --trace 1)"
             )
-        table[run["workload"]] = {name: run["layers"][name] for name in EXACT}
-    return table
+    return record["runs"]
+
+
+def counts_of(runs: list[dict]) -> dict[str, dict[str, int]]:
+    """``{workload: {metric: count}}``."""
+    return {run["workload"]: {name: run["layers"][name] for name in EXACT} for run in runs}
+
+
+def host_scale(run: dict) -> float:
+    """Factor from the traced pass's wall seconds to seconds at reference
+    host speed.  The pass runs after the last timed rep and before the
+    setup probes, so the readings around it are the last of the reps and
+    the first of the setup probes; as in ``hostspeed.Bracket``, the
+    factor is ``REFERENCE_S`` over their mean."""
+    readings = run["host_readings"]
+    return hostspeed.REFERENCE_S / ((readings["reps"][-1] + readings["setup"][0]) / 2)
+
+
+def times_of(runs: list[dict]) -> dict[str, dict[str, float]]:
+    """``{workload: {metric: self seconds at reference host speed}}``."""
+    return {
+        run["workload"]: {name: run["layers"][name] * host_scale(run) for name in TIMED}
+        for run in runs
+    }
 
 
 def compare(got: dict, want: dict) -> list[str]:
@@ -77,24 +123,89 @@ def compare(got: dict, want: dict) -> list[str]:
     return problems
 
 
+def compare_times(got: dict, want: dict) -> tuple[list[str], list[tuple[float, str]]]:
+    """A line for every gated layer more than ``TIME_BOUND`` times slower
+    than its recorded median, and every gated layer's ``(ratio, name)``.
+    A workload missing on either side is reported by :func:`compare`."""
+    problems, ratios = [], []
+    for workload in sorted(set(got) & set(want["medians"])):
+        for name, median in sorted(want["medians"][workload].items()):
+            if median < TIME_FLOOR_S:
+                continue
+            seconds = got[workload][name]
+            ratios.append((seconds / median, f"{workload}.{name}"))
+            if seconds > TIME_BOUND * median:
+                problems.append(
+                    f"{workload}.{name}: {1e3 * seconds:.2f} ms is {seconds / median:.2f}x "
+                    f"the recorded median {1e3 * median:.2f} ms (bound {TIME_BOUND:g}x)"
+                )
+    return problems, ratios
+
+
+def record(records: list[list[dict]]) -> int:
+    """Rewrite both tables from the runs of several ``run.py --json`` files."""
+    counts = [counts_of(runs) for runs in records]
+    backends = {run["machine"]["kernel_backend"] for runs in records for run in runs}
+    if any(c != counts[0] for c in counts) or len(backends) > 1:
+        print("the runs given differ in their counts or kernel backend; nothing recorded")
+        return 1
+    times = [times_of(runs) for runs in records]
+    medians = {
+        workload: {
+            name: round(statistics.median(t[workload][name] for t in times), 6)
+            for name in TIMED
+        }
+        for workload in times[0]
+    }
+    TABLE_PATH.write_text(json.dumps(counts[0], indent=1, sort_keys=True) + "\n")
+    TIMES_PATH.write_text(json.dumps(
+        {"kernel_backend": backends.pop(), "runs": len(records), "medians": medians},
+        indent=1, sort_keys=True,
+    ) + "\n")
+    print(f"recorded {sum(len(v) for v in counts[0].values())} counts to {TABLE_PATH}")
+    print(f"recorded the median {len(TIMED)} layer times of {len(records)} runs "
+          f"per workload to {TIMES_PATH}")
+    return 0
+
+
+def check(path: Path, runs: list[dict]) -> bool:
+    """Compare one run record with both tables; print what differs."""
+    counts = counts_of(runs)
+    want = json.loads(TIMES_PATH.read_text())
+    problems = [
+        f"count differs: {line}"
+        for line in compare(counts, json.loads(TABLE_PATH.read_text()))
+    ]
+    problems += [
+        f"{run['workload']}: timed with the {run['machine']['kernel_backend']} "
+        f"kernels, recorded with {want['kernel_backend']}"
+        for run in runs
+        if run["machine"]["kernel_backend"] != want["kernel_backend"]
+    ]
+    slow, ratios = compare_times(times_of(runs), want)
+    problems += [f"too slow: {line}" for line in slow]
+    for line in problems:
+        print(f"{path}: {line}")
+    if not problems:
+        worst, name = max(ratios)
+        print(f"{path}: {sum(len(v) for v in counts.values())} counts match "
+              f"{TABLE_PATH.name}; {len(ratios)} layer times within {TIME_BOUND:g}x of "
+              f"{TIMES_PATH.name} (slowest: {name} at {worst:.2f}x)")
+    return not problems
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("record", type=Path, help="the run.py --json output")
+    ap.add_argument("record", type=Path, nargs="+", help="run.py --json outputs")
     ap.add_argument("--record", dest="write", action="store_true",
-                    help="rewrite the recorded table from this run")
+                    help="rewrite both tables from these runs")
     args = ap.parse_args(argv)
 
-    got = counts_of(json.loads(args.record.read_text()))
+    records = {path: smoke_runs(json.loads(path.read_text())) for path in args.record}
     if args.write:
-        TABLE_PATH.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {sum(len(v) for v in got.values())} counts to {TABLE_PATH}")
-        return 0
-    problems = compare(got, json.loads(TABLE_PATH.read_text()))
-    for line in problems:
-        print(f"count differs: {line}")
-    if not problems:
-        print(f"{sum(len(v) for v in got.values())} counts match {TABLE_PATH.name}")
-    return 1 if problems else 0
+        return record(list(records.values()))
+    ok = [check(path, runs) for path, runs in records.items()]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

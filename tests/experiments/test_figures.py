@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.figures import (
     FIGURE7_WORKLOADS,
     FIGURES,
@@ -33,10 +33,13 @@ class TestFigureDrivers:
         res = figure3()
         assert res.config.m == 16  # the smoke preset
 
-    def test_figure7_timings(self):
-        res = figure7(TINY, repeats=1)
+    @pytest.mark.parametrize(
+        "cfg,repeats,bound", [(TINY, 1, 60.0), (SCALES["smoke"], 3, 30.0)]
+    )
+    def test_figure7_timings(self, cfg, repeats, bound):
+        res = figure7(cfg, repeats=repeats)
         assert set(res.timings) == set(FIGURE7_WORKLOADS)
         for series in res.timings.values():
-            assert [n for n, _ in series] == list(TINY.task_counts)
+            assert [n for n, _ in series] == list(cfg.task_counts)
             assert all(t >= 0 for _, t in series)
-        assert res.max_seconds() < 60.0  # sanity: scheduling is fast
+        assert res.max_seconds() < bound  # sanity: scheduling is fast

@@ -32,10 +32,19 @@ class TestEvaluateOnline:
     def test_batches_increase_with_horizon(self, points):
         assert points[-1].mean_batches >= points[0].mean_batches
 
-    def test_envelope(self, points):
+    @pytest.mark.parametrize(
+        "kwargs,bound",
+        [
+            (dict(kind="cirne", n=15, m=8, runs=2, fractions=(0.0, 0.5, 1.0)), 3.0),
+            (dict(n=20, m=8, runs=2), 2.5),  # the default fractions
+        ],
+    )
+    def test_envelope(self, kwargs, bound):
         # §2.2: arrivals within the off-line makespan keep the on-line
         # schedule within ~2x (generous slack for tiny instances).
-        assert points[-1].max_ratio < 3.0
+        points = evaluate_online(schedule_demt, **kwargs)
+        by_fraction = {p.horizon_fraction: p for p in points}
+        assert by_fraction[1.0].max_ratio < bound
 
     def test_point_validation(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
-"""The event-spine differential plane: spine vs every pre-spine oracle.
+"""The event-spine differential plane: spine vs the pre-spine oracles.
 
 The PR-8 refactor moved every on-line policy, the simulator engine and
 the faulty batch loop onto the incremental
 :class:`~repro.simulator.events.EventSpine`.  Three oracle layers pin it:
 
-* **Seed oracle** — the spine :class:`~repro.simulator.online.BatchPolicy`
-  still reproduces the seed
-  :class:`~repro.simulator.reference.ReferenceBatchScheduler` bit for bit
-  (the PR-5 golden corpus keeps covering this; here it is fuzzed).
-* **Windowed oracle** — every registry policy and the faulty loop match
+* **Seed oracle** — the spine batch policies (``batch`` and
+  ``greedy-interval``) still reproduce the seed
+  :class:`~repro.simulator.reference.ReferenceBatchScheduler` around the
+  same engine, bit for bit (the PR-5 golden corpus keeps covering this;
+  here it is fuzzed and run across the policy registry).
+* **Windowed oracle** — the FCFS dispatchers and the faulty loop match
   their frozen pre-spine implementations in
   :mod:`repro.simulator.windowed`, on random instances (Hypothesis) and
   across the policy registry grid, including fault-injected runs.
@@ -35,14 +36,11 @@ from hypothesis import strategies as st
 from repro.algorithms.demt import schedule_demt
 from repro.core.instance import Instance
 from repro.core.validation import validate_schedule
-from repro.extensions.reservations import Reservation
+from repro.extensions.greedy_interval import GreedyIntervalScheduler
 from repro.faults.failures import FaultyBatchPolicy, generate_failures
 from repro.simulator.online import ZERO_CONFIG_POLICIES, BatchPolicy, get_policy
 from repro.simulator.reference import ReferenceBatchScheduler
-from repro.simulator.windowed import (
-    WINDOWED_POLICIES,
-    WindowedFaultyBatchPolicy,
-)
+from repro.simulator.windowed import WindowedFaultyBatchPolicy, WindowedFcfsPolicy
 from repro.utils.rng import derive_rng
 from repro.workloads.generator import generate_workload
 
@@ -72,37 +70,28 @@ def results_identical(a, b) -> None:
     assert placements_of(a.schedule) == placements_of(b.schedule)
 
 
-class TestSpineVsWindowedOracles:
-    """Every registry policy == its frozen pre-spine implementation."""
+#: Registry policy -> the oracle that must produce the same run: the seed
+#: batch loop around the policy's engine, or the pre-spine FCFS dispatcher.
+ORACLES = {
+    "batch": lambda: ReferenceBatchScheduler(schedule_demt),
+    "greedy-interval": lambda: ReferenceBatchScheduler(
+        GreedyIntervalScheduler().schedule
+    ),
+    "fcfs": lambda: WindowedFcfsPolicy(backfill=False),
+    "fcfs-backfill": lambda: WindowedFcfsPolicy(backfill=True),
+}
+
+
+class TestSpineVsOracles:
+    """Every registry policy == its seed or frozen pre-spine oracle."""
 
     @pytest.mark.parametrize("name", ZERO_CONFIG_POLICIES)
     @pytest.mark.parametrize("seed", [1, 29, 404])
     def test_registry_grid_bit_identical(self, name, seed):
         inst = fuzz_instance(seed, n=24)
         spine = get_policy(name, offline=schedule_demt).run(inst)
-        oracle = WINDOWED_POLICIES[name](offline=schedule_demt).run(inst)
-        results_identical(spine, oracle)
+        results_identical(spine, ORACLES[name]().run(inst))
         validate_schedule(spine.schedule, inst)
-
-    def test_reservation_policy_bit_identical(self):
-        inst = fuzz_instance(7, n=16)
-        blocked = [Reservation(0.0, 30.0, 3), Reservation(45.0, 60.0, 5)]
-        spine = get_policy(
-            "reservation", offline=schedule_demt, reservations=blocked
-        ).run(inst)
-        oracle = WINDOWED_POLICIES["reservation"](
-            offline=schedule_demt, reservations=blocked
-        ).run(inst)
-        results_identical(spine, oracle)
-
-    @given(seed=st.integers(0, 99_999), n=st.integers(1, 30))
-    @settings(max_examples=25, deadline=None)
-    def test_batch_fuzz(self, seed, n):
-        inst = fuzz_instance(seed, n)
-        results_identical(
-            BatchPolicy(schedule_demt).run(inst),
-            WINDOWED_POLICIES["batch"](offline=schedule_demt).run(inst),
-        )
 
     @given(
         seed=st.integers(0, 99_999),
@@ -113,14 +102,12 @@ class TestSpineVsWindowedOracles:
     def test_fcfs_fuzz(self, seed, n, backfill):
         inst = fuzz_instance(seed, n, spread=0.5)
         name = "fcfs-backfill" if backfill else "fcfs"
-        results_identical(
-            get_policy(name).run(inst), WINDOWED_POLICIES[name]().run(inst)
-        )
+        results_identical(get_policy(name).run(inst), ORACLES[name]().run(inst))
 
-    @given(seed=st.integers(0, 99_999), n=st.integers(1, 25))
-    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 99_999), n=st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
     def test_seed_oracle_fuzz(self, seed, n):
-        # The spine kernel still reproduces the *seed* scheduler too.
+        # The spine kernel reproduces the *seed* scheduler.
         inst = fuzz_instance(seed, n)
         results_identical(
             BatchPolicy(schedule_demt).run(inst),

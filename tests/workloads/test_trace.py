@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
+from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     MOLDABILITY_MODELS,
     Trace,
@@ -26,6 +28,23 @@ CLEAN = (
     "3 6.0 2.0 -1 2 -1 -1 2 -1 -1 0 -1 -1 -1 -1 -1 -1 -1\n"
     "4 7.0 0.5 2.0 16 -1 -1 16 2.0 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
 )
+
+TRACES = Path(__file__).resolve().parents[1] / "data" / "traces"
+FIXTURES = ("bursty_quirks.swf", "cirne_small.swf", "wide_jobs.swf")
+
+
+def data_line_indexes(lines: list[str]) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.strip() and not line.startswith(";")]
+
+
+def ragged(text: str, every: int = 7) -> str:
+    """``text`` with every ``every``-th data record cut to its first 5
+    fields: the per-line fallback accepts such a record, ``np.loadtxt``
+    rejects a chunk that holds one."""
+    lines = text.splitlines(keepends=True)
+    for i in data_line_indexes(lines)[::every]:
+        lines[i] = " ".join(lines[i].split()[:5]) + "\n"
+    return "".join(lines)
 
 
 class TestLoading:
@@ -102,6 +121,44 @@ class TestLoading:
             load_trace("my logs/trace.swf")
         with pytest.raises(FileNotFoundError):
             load_trace("missing dir/archive log.swf")
+
+
+class TestChunkedParsing:
+    """Data lines are parsed in chunks of ``_CHUNK_LINES`` (65536); every
+    fixture fits in one, so the chunk is shrunk to cross boundaries."""
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_chunks_reassemble_the_one_chunk_load(self, monkeypatch, name, chunk):
+        text = (TRACES / name).read_text()
+        whole, whole_ragged = load_trace(text), load_trace(ragged(text))
+        parse_line = trace_module._parse_line_tolerant
+        fallback_lines = []
+
+        def spy(line, lineno):
+            fallback_lines.append(lineno)
+            return parse_line(line, lineno)
+
+        monkeypatch.setattr(trace_module, "_parse_line_tolerant", spy)
+        monkeypatch.setattr(trace_module, "_CHUNK_LINES", chunk)
+        assert load_trace(text).digest == whole.digest
+        assert not fallback_lines
+        # Chunks holding a cut record fall back per line; with chunks
+        # shorter than the cut spacing, the others stay on np.loadtxt.
+        # Both kinds must concatenate in file order.
+        assert load_trace(ragged(text)).digest == whole_ragged.digest
+        assert fallback_lines
+        if chunk < 7:
+            assert len(fallback_lines) < len(data_line_indexes(text.splitlines()))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_fallback_error_names_the_line_opening_a_chunk(self, monkeypatch, chunk):
+        lines = (TRACES / "bursty_quirks.swf").read_text().splitlines(keepends=True)
+        bad = data_line_indexes(lines)[chunk]  # the first record of chunk 2
+        lines[bad] = "1 2\n"
+        monkeypatch.setattr(trace_module, "_CHUNK_LINES", chunk)
+        with pytest.raises(ModelError, match=f"line {bad + 1}:"):
+            load_trace("".join(lines))
 
 
 class TestWindow:
