@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.instance import Instance
 from repro.core.profile import FreeProfile
 from repro.core.schedule import Schedule
+from repro.core.validation import TIME_EPS
 from repro.exceptions import SchedulingError
 
 __all__ = ["rigidify", "FcfsBackfillScheduler"]
@@ -160,7 +161,7 @@ class FcfsBackfillScheduler:
                 # Backfill only if the candidate starts before the head's
                 # reservation and ends by it (it can then never delay any
                 # not-yet-reserved job either, since it uses only holes).
-                if start + cand.duration <= head_start + 1e-9:
+                if start + cand.duration <= head_start + TIME_EPS:
                     place(cand, start)
                     queue.pop(i)
                 else:

@@ -1,11 +1,13 @@
-"""Pluggable compiled kernels for the DEMT algorithm core.
+"""Pluggable compiled kernels for the DEMT algorithm core and FCFS dispatch.
 
 The inner loops that dominate DEMT end-to-end time — the max-weight
 knapsack DP + reconstruction, the binary-choice min-work DP of the dual
 approximation (value only, and with reconstruction), the dual
 approximation's one-λ sweep over the time matrix, and the Graham
-list-scheduling event loop — live behind this package's dispatch layer.
-Two interchangeable backends implement them:
+list-scheduling event loop — and the on-line FCFS / EASY-backfilling
+dispatch loop of the ``fcfs`` and ``fcfs-backfill`` policies live behind
+this package's dispatch layer.  Two interchangeable backends implement
+them:
 
 ``numpy``
     The incumbent pure-NumPy/Python implementations (always available,
@@ -18,8 +20,9 @@ Both backends preserve the incumbent float-operation order, so schedules
 and feasibility decisions are **bit-identical** across backends — the
 golden corpora and the differential suites hold with kernels on and off.
 The suite in ``tests/kernels/`` fuzzes every importable backend against
-the NumPy reference and against the seed oracles of
-``algorithms/reference.py``.
+the NumPy reference, against the seed oracles of
+``algorithms/reference.py`` and, for the FCFS loop, against the windowed
+dispatcher of ``simulator/windowed.py``.
 
 Selection: the ``REPRO_KERNELS`` environment variable (``numpy`` |
 ``cffi``; unset/``auto`` picks ``cffi`` when it imports, else NumPy).  An
@@ -53,6 +56,7 @@ __all__ = [
     "knapsack_min_work_core",
     "dual_sweep_core",
     "graham_starts_core",
+    "fcfs_starts_core",
 ]
 
 _KNOWN = ("numpy", "cffi")
@@ -63,8 +67,9 @@ _failed: dict[str, str] = {}
 
 def _smoke(mod) -> None:
     """Assert a backend reproduces the NumPy reference bit-for-bit on a
-    tiny fixed corpus (one exercise per kernel, including a tie and an
-    infeasible option)."""
+    tiny fixed corpus (one exercise per kernel, including a tie, an
+    infeasible option, a FINISH and an ARRIVAL sharing a window, and a
+    backfill)."""
     allot = np.array([2, 2, 3, 1, 7], dtype=np.int64)
     weights = np.array([5.0, 4.0, 6.0, 0.25, 9.0], dtype=np.float64)
     ref = _numpy_backend.knapsack_select_core(allot, weights, 6)
@@ -107,6 +112,18 @@ def _smoke(mod) -> None:
         or list(got_g[1]) != list(ref_g[1])
     ):
         raise ImportError(f"{mod.name} graham mismatch: {got_g} != {ref_g}")
+
+    # Rows 2, 1, 0 arrive at 0 (ids put them in that order): row 2 starts,
+    # row 1 waits and row 0 is backfilled ahead of it.  Row 3 arrives
+    # 0.5e-9 before both finish at 1.0, in their window, and starts at 1.0.
+    fr = np.array([0.0, 0.0, 0.0, 1.0 - 0.5e-9], dtype=np.float64)
+    fi = np.array([12, 11, 10, 13], dtype=np.int64)
+    fa = np.array([1, 2, 3, 1], dtype=np.int64)
+    fd = np.array([1.0, 1.0, 1.0, 0.5], dtype=np.float64)
+    ref_f = _numpy_backend.fcfs_starts_core(fr, fi, fa, fd, 4, True, 1e-9)
+    got_f = mod.fcfs_starts_core(fr, fi, fa, fd, 4, True, 1e-9)
+    if any(a.tobytes() != b.tobytes() for a, b in zip(got_f, ref_f)):
+        raise ImportError(f"{mod.name} fcfs mismatch: {got_f} != {ref_f}")
 
 
 def load_backend(name: str):
@@ -235,3 +252,14 @@ def graham_starts_core(allotments, durations, m, start_time, cutoff):
         state.count("kernel.dispatch." + ACTIVE.name)
         state.count("kernel.graham_calls")
     return ACTIVE.graham_starts_core(allotments, durations, m, start_time, cutoff)
+
+
+def fcfs_starts_core(releases, task_ids, allotments, durations, m, backfill, eps):
+    """Dispatch: on-line FCFS / EASY dispatch event loop."""
+    state = obs.ACTIVE
+    if state is not None:
+        state.count("kernel.dispatch." + ACTIVE.name)
+        state.count("kernel.fcfs_calls")
+    return ACTIVE.fcfs_starts_core(
+        releases, task_ids, allotments, durations, m, backfill, eps
+    )

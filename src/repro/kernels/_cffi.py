@@ -1,10 +1,10 @@
-"""cffi kernel backend: the DEMT inner loops as compiled C.
+"""cffi kernel backend: the DEMT inner loops and FCFS dispatch as compiled C.
 
 The C code replicates the NumPy backend's float-op order exactly — IEEE
 double adds and compares in the same sequence — so every DP value, every
-keep/choice bit and every Graham start time is bit-identical to
-:mod:`._numpy` (the differential suite pins this).  Where the order could
-matter:
+keep/choice bit, every Graham start time and every FCFS start is
+bit-identical to :mod:`._numpy` (the differential suite pins this).
+Where the order could matter:
 
 * the max-weight knapsack walks capacities *descending* per item, which
   reads only pre-item values — the same read set as NumPy's out-of-place
@@ -22,6 +22,13 @@ matter:
   tuple heap breaks end-time ties by allotment, but tied completions are
   always drained together before the next placement, so the freed-count
   sum — the only thing the loop reads — is order-independent.
+* the FCFS loop keeps its running jobs sorted by end time only, where
+  the NumPy backend's ``insort`` also orders equal ends by allotment;
+  the loop reads only which ends fall in a window, the freed count, the
+  smallest end and the first end at which the running prefix frees
+  enough processors, none of which depends on the order of equal ends.
+  Its window cuts, EASY limits and ends are the same IEEE additions
+  (``t0 + eps``, ``end + eps``, ``now + duration``).
 
 The extension module is compiled on first import into a cache directory
 (``REPRO_KERNELS_CACHE``, default ``<tempdir>/repro_kernels``) keyed by a
@@ -61,6 +68,7 @@ __all__ = [
     "knapsack_min_work_core",
     "dual_sweep_core",
     "graham_starts_core",
+    "fcfs_starts_core",
 ]
 
 name = "cffi"
@@ -82,6 +90,10 @@ void repro_dual_sweep(const double *times, int64_t n, int64_t m, double lam,
 int64_t repro_graham(const int64_t *allot, const double *dur, int64_t n,
                      int64_t m, double start_time, double cutoff,
                      int use_cutoff, double *starts, int64_t *order);
+int64_t repro_fcfs(const int64_t *tape, const double *tape_t,
+                   const int64_t *allot, const double *dur, int64_t n,
+                   int64_t m, int backfill, double eps, int64_t *rows,
+                   double *starts, int64_t *depths);
 """
 
 _C_SOURCE = r"""
@@ -463,6 +475,144 @@ done:
     free(hal);
     return status;
 }
+
+/* ------------------------------------------------------------------ */
+/* On-line FCFS / EASY dispatch event loop.                            */
+/*                                                                     */
+/* The NumPy backend's loop statement for statement.  The caller      */
+/* passes the arrival tape (rows sorted by release, then task id) and  */
+/* its release times.  The running jobs are one array sorted by end,   */
+/* both the FINISH queue (completions leave from its front) and the    */
+/* end index the EASY bound walks; it never holds more than m jobs,    */
+/* since each holds >= 1 processor.  Equal ends may sit in any order:  */
+/* the loop reads only which ends fall in a window, the freed count,   */
+/* the smallest end and the end at which a prefix frees enough.        */
+/* Tombstones of backfilled jobs in the waiting list are -1.  Returns  */
+/* the number of event windows, -1 when jobs stall, -3 on allocation   */
+/* failure.                                                            */
+/* ------------------------------------------------------------------ */
+static void run_insert(double *r_end, int64_t *r_k, int64_t *nrun, double e,
+                       int64_t k)
+{
+    int64_t lo = 0, hi = *nrun;
+    while (lo < hi) { /* first end > e: after the equal ones */
+        int64_t mid = (lo + hi) >> 1;
+        if (r_end[mid] <= e)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    memmove(r_end + lo + 1, r_end + lo, (size_t)(*nrun - lo) * sizeof(double));
+    memmove(r_k + lo + 1, r_k + lo, (size_t)(*nrun - lo) * sizeof(int64_t));
+    r_end[lo] = e;
+    r_k[lo] = k;
+    (*nrun)++;
+}
+
+int64_t repro_fcfs(const int64_t *tape, const double *tape_t,
+                   const int64_t *allot, const double *dur, int64_t n,
+                   int64_t m, int backfill, double eps, int64_t *rows,
+                   double *starts, int64_t *depths)
+{
+    int64_t status = 0;
+    double *r_end = malloc((size_t)(m > 0 ? m : 1) * sizeof(double));
+    int64_t *r_k = malloc((size_t)(m > 0 ? m : 1) * sizeof(int64_t));
+    int64_t *waiting = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (!r_end || !r_k || !waiting) {
+        status = -3;
+        goto done;
+    }
+
+    int64_t nrun = 0, wlen = 0, head = 0, tombstones = 0;
+    int64_t free_p = m, a = 0, placed = 0, windows = 0;
+    while (a < n || nrun > 0) {
+        /* One window: every event within eps of the earliest one.  FINISH
+           acts before ARRIVAL; `now` is the earliest FINISH if any. */
+        double t0 = a < n ? tape_t[a] : INFINITY;
+        if (nrun > 0 && r_end[0] < t0)
+            t0 = r_end[0];
+        double cut = t0 + eps;
+        int64_t f = 0;
+        while (f < nrun && r_end[f] <= cut) {
+            free_p += r_k[f];
+            f++;
+        }
+        double now = f ? r_end[0] : t0;
+        if (f) {
+            nrun -= f;
+            memmove(r_end, r_end + f, (size_t)nrun * sizeof(double));
+            memmove(r_k, r_k + f, (size_t)nrun * sizeof(int64_t));
+        }
+        int64_t a0 = a;
+        while (a < n && tape_t[a] <= cut)
+            waiting[wlen++] = tape[a++];
+        depths[windows++] = f + a - a0;
+
+        if (tombstones * 2 > wlen - head) {
+            int64_t w = 0;
+            for (int64_t i = head; i < wlen; i++)
+                if (waiting[i] >= 0)
+                    waiting[w++] = waiting[i];
+            wlen = w;
+            head = 0;
+            tombstones = 0;
+        }
+        while (head < wlen) {
+            int64_t r = waiting[head];
+            if (r < 0) { /* backfilled earlier */
+                head++;
+                tombstones--;
+                continue;
+            }
+            int64_t k = allot[r];
+            if (k <= free_p) {
+                run_insert(r_end, r_k, &nrun, now + dur[r], k);
+                free_p -= k;
+                rows[placed] = r;
+                starts[placed] = now;
+                placed++;
+                head++;
+                continue;
+            }
+            if (backfill) {
+                /* EASY: the head's reservation bound, then later jobs
+                   that fit now and finish by it. */
+                int64_t avail = free_p, j = 0;
+                while (j < nrun) {
+                    avail += r_k[j];
+                    if (avail >= k)
+                        break;
+                    j++;
+                }
+                if (j == nrun) {
+                    status = -1;
+                    goto done;
+                }
+                double limit = r_end[j] + eps;
+                for (int64_t i = head + 1; i < wlen; i++) {
+                    int64_t c = waiting[i];
+                    if (c >= 0 && allot[c] <= free_p && now + dur[c] <= limit) {
+                        run_insert(r_end, r_k, &nrun, now + dur[c], allot[c]);
+                        free_p -= allot[c];
+                        rows[placed] = c;
+                        starts[placed] = now;
+                        placed++;
+                        waiting[i] = -1;
+                        tombstones++;
+                    }
+                }
+            }
+            break;
+        }
+    }
+    status = placed == n ? windows : -1;
+
+done:
+    free(r_end);
+    free(r_k);
+    free(waiting);
+    return status;
+}
 """
 
 
@@ -673,3 +823,52 @@ def graham_starts_core(
     if status == -3:  # pragma: no cover - allocation failure
         raise MemoryError("graham kernel allocation failed")
     return starts, order
+
+
+def fcfs_starts_core(
+    releases,
+    task_ids,
+    allotments,
+    durations,
+    m: int,
+    backfill: bool,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rel = _f64(releases)
+    allot = _i64(allotments)
+    dur = _f64(durations)
+    n = int(rel.size)
+    # The C loop holds at most m running jobs, each on >= 1 processor, and
+    # writes one depth per window, each window taking at least one event
+    # (a NaN time or a negative eps would leave a window empty).
+    if allot.size != n or dur.size != n or len(task_ids) != n:
+        raise ValueError("releases, task_ids, allotments and durations must be parallel")
+    if n and (int(allot.min()) < 1 or int(allot.max()) > m):
+        raise ValueError(f"allotments must lie in [1, {m}]")
+    if not (np.isfinite(rel).all() and np.isfinite(dur).all()):
+        raise ValueError("releases and durations must be finite")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    tape = _i64(np.lexsort((task_ids, rel)))
+    tape_t = rel[tape]
+    rows = np.empty(n, dtype=np.int64)
+    starts = np.empty(n, dtype=np.float64)
+    depths = np.empty(max(2 * n, 1), dtype=np.int64)  # one event per window at least
+    windows = _lib.repro_fcfs(
+        _ptr("int64_t *", tape),
+        _ptr("double *", tape_t),
+        _ptr("int64_t *", allot),
+        _ptr("double *", dur),
+        n,
+        int(m),
+        1 if backfill else 0,
+        float(eps),
+        _ptr("int64_t *", rows),
+        _ptr("double *", starts),
+        _ptr("int64_t *", depths),
+    )
+    if windows == -1:  # pragma: no cover - every start enqueues a completion
+        raise SchedulingError("FCFS policy stalled with jobs waiting")
+    if windows == -3:  # pragma: no cover - allocation failure
+        raise MemoryError("fcfs kernel allocation failed")
+    return rows, starts, depths[:windows]

@@ -4,9 +4,13 @@ These are the incumbent implementations of the DEMT inner loops, moved
 verbatim from ``algorithms/knapsack.py``, ``core/profile.py`` and
 ``core/allotment.py`` (same float operations in the same order, so every
 schedule and every feasibility decision is bit-identical to the
-pre-kernel library).  The compiled backend (:mod:`._cffi`) mirrors this
-float-op order exactly; the differential suite in ``tests/kernels/`` pins
-the backends against each other and against ``algorithms/reference.py``.
+pre-kernel library), and the on-line FCFS / EASY dispatch loop of
+``simulator/online.py``, on plain Python scalars in the form the C
+backend mirrors (same windows, comparisons and float additions as the
+spine-driven loop it replaced).  The compiled backend (:mod:`._cffi`)
+mirrors this float-op order exactly; the differential suite in
+``tests/kernels/`` pins the backends against each other, against
+``algorithms/reference.py`` and against ``simulator/windowed.py``.
 
 The one intentional change over the pre-kernel code is the knapsack
 ``keep`` matrix: the old code allocated a fresh ``n × (m+1)`` bool matrix
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "knapsack_min_work_core",
     "dual_sweep_core",
     "graham_starts_core",
+    "fcfs_starts_core",
 ]
 
 name = "numpy"
@@ -275,3 +280,116 @@ def graham_starts_core(
         if cutoff is not None and now > cutoff:
             return None
     return np.asarray(starts, dtype=np.float64), np.array(order, dtype=np.int64)
+
+
+def fcfs_starts_core(
+    releases,
+    task_ids,
+    allotments,
+    durations,
+    m: int,
+    backfill: bool,
+    eps: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """On-line FCFS / EASY dispatch event loop (see
+    ``simulator/online.FcfsOnlinePolicy``).
+
+    Row ``j`` arrives at ``releases[j]`` and runs on ``allotments[j]``
+    processors for ``durations[j]``.  Returns ``(rows, starts, depths)``:
+    the rows in start order, their start times, and the number of events
+    in each event window.
+    """
+    n = len(releases)
+    # The arrival tape: rows sorted by (release, task id).
+    tape = np.lexsort((task_ids, releases))
+    tape_rows = tape.tolist()
+    tape_times = np.asarray(releases, dtype=np.float64)[tape].tolist()
+    alist = np.asarray(allotments).tolist()
+    dlist = np.asarray(durations, dtype=np.float64).tolist()
+
+    # The running jobs as (end, allotment), sorted.  With no cancellation
+    # every running job has exactly one pending FINISH, so this one list
+    # is both the FINISH queue (completions leave from its front) and the
+    # end-time index the EASY bound walks.
+    running: list[tuple[float, int]] = []
+    waiting: list[int] = []  # rows in arrival order; -1 = backfilled
+    head = 0
+    tombstones = 0
+    free = int(m)
+    a = 0  # tape cursor
+    rows: list[int] = []
+    starts: list[float] = []
+    depths: list[int] = []
+
+    while a < n or running:
+        # One window: every event within eps of the earliest one (anchored,
+        # not chained).  FINISH events act before ARRIVAL events, and
+        # `now` is the first event of the window sorted by (priority, time,
+        # id): the earliest FINISH when there is one, not the window's
+        # earliest event.
+        t0 = tape_times[a] if a < n else math.inf
+        if running and running[0][0] < t0:
+            t0 = running[0][0]
+        cut = t0 + eps
+        f = 0
+        while f < len(running) and running[f][0] <= cut:
+            free += running[f][1]
+            f += 1
+        now = running[0][0] if f else t0
+        del running[:f]
+        a0 = a
+        while a < n and tape_times[a] <= cut:
+            waiting.append(tape_rows[a])
+            a += 1
+        depths.append(f + a - a0)
+
+        # Dispatch once per window.  Backfilled jobs leave tombstones,
+        # compacted away once they outnumber the live tail.
+        if tombstones * 2 > len(waiting) - head:
+            waiting = [r for r in waiting[head:] if r >= 0]
+            head = 0
+            tombstones = 0
+        while head < len(waiting):
+            r = waiting[head]
+            if r < 0:  # backfilled earlier
+                head += 1
+                tombstones -= 1
+                continue
+            k = alist[r]
+            if k <= free:
+                insort(running, (now + dlist[r], k))
+                free -= k
+                rows.append(r)
+                starts.append(now)
+                head += 1
+                continue
+            if backfill:
+                # EASY: the head's reservation is the earliest end at which
+                # k processors are free; later jobs may start now only if
+                # they finish by it.
+                avail = free
+                for end, held in running:
+                    avail += held
+                    if avail >= k:
+                        limit = end + eps
+                        break
+                else:  # pragma: no cover - k <= m always frees
+                    raise SchedulingError(f"allotment {k} can never be satisfied")
+                for i in range(head + 1, len(waiting)):
+                    c = waiting[i]
+                    if c >= 0 and alist[c] <= free and now + dlist[c] <= limit:
+                        insort(running, (now + dlist[c], alist[c]))
+                        free -= alist[c]
+                        rows.append(c)
+                        starts.append(now)
+                        waiting[i] = -1
+                        tombstones += 1
+            break
+
+    if len(rows) != n:  # pragma: no cover - every start enqueues a completion
+        raise SchedulingError("FCFS policy stalled with jobs waiting")
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(starts, dtype=np.float64),
+        np.array(depths, dtype=np.int64),
+    )

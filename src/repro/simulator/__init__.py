@@ -14,15 +14,17 @@ a front-end job queue.  This package provides:
   the batch doubling framework of Shmoys, Wein & Williamson (paper ref
   [21], §2.2) that turns any off-line ρ-approximation into a
   2ρ-competitive on-line scheduler, the immediate FCFS / EASY-backfill
-  baselines, and the greedy-interval / reservation batch variants — all
-  running on the shared incremental
-  :class:`~repro.simulator.events.EventSpine`;
+  baselines, and the greedy-interval / reservation batch variants — the
+  batch family running on the shared incremental
+  :class:`~repro.simulator.events.EventSpine`, the FCFS dispatchers in
+  one kernel call with the same event windowing;
 * :mod:`repro.simulator.reference` — the seed batch scheduler, preserved
   verbatim as the differential oracle of the policy kernel;
 * :mod:`repro.simulator.windowed` — the pre-spine FCFS dispatcher and
-  faulty batch loop, frozen as the differential oracles of their spine
-  ports (imported lazily by the test suite, not re-exported here,
-  because it reaches into :mod:`repro.faults`).
+  faulty batch loop, frozen as the differential oracles of the FCFS
+  dispatch kernel and the spine faulty loop (imported lazily by the test
+  suite, not re-exported here, because it reaches into
+  :mod:`repro.faults`).
 """
 
 from repro.simulator.cluster import Cluster

@@ -19,12 +19,13 @@ Three pieces live here:
   :data:`~repro.core.validation.TIME_EPS`, each window sorted by
   ``(priority, time, id)`` so that ties resolve deterministically and
   completions free resources before simultaneous starts allocate them.
-* :class:`EventSpine` — the incremental event spine every on-line policy
-  and the simulator engine run on: an :class:`EventWindowQueue` with
-  typed :class:`Transition` priorities, a per-job running index, an
-  incremental free-capacity profile (``used`` / ``free`` /
-  ``earliest_free``) and an incremental busy-time integral, all O(log n)
-  per event.
+* :class:`EventSpine` — the incremental event spine the batch policies,
+  the faulty batch loop and the simulator engine run on: an
+  :class:`EventWindowQueue` with typed :class:`Transition` priorities, a
+  per-job running index, an incremental free-capacity count (``used`` /
+  ``free``) and an incremental busy-time integral, all O(log n) per
+  event.  The FCFS dispatchers run the same windowing in one kernel
+  (:func:`repro.kernels.fcfs_starts_core`).
 
 Boundary semantics (pinned by the test suite, on both sides of the
 epsilon):
@@ -47,7 +48,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -55,7 +55,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.validation import TIME_EPS
-from repro.exceptions import SchedulingError
 
 __all__ = [
     "EventKind",
@@ -248,10 +247,7 @@ class EventSpine(EventWindowQueue):
       liveness is decided here); ``cancel(job)`` / ``evict_latest()``
       release capacity without crediting busy time (crash-and-restart
       semantics: the work is lost);
-    * the **free-capacity profile** — ``used`` / ``free`` are O(1), and
-      ``earliest_free(k)`` (the EASY reservation query) walks a sorted
-      completion-time list with lazily pruned tombstones instead of
-      re-sorting the running set per query;
+    * the **free-capacity count** — ``used`` / ``free`` are O(1);
     * the **busy-time integral** — ``busy_time`` accumulates
       ``k · (finish − start)`` per completed run, so utilization needs
       no post-hoc log scan;
@@ -260,11 +256,10 @@ class EventSpine(EventWindowQueue):
       shared ``t + TIME_EPS`` batch-cut windowing, so batch policies and
       the heap agree on what "has arrived" means.
 
-    Every operation is O(log n) amortised (``earliest_free`` is O(r) in
-    the running-set size r ≤ m, with tombstone pruning keeping the walk
-    list at most 2r long).  ``m`` is the capacity the ``free`` property
-    reports against; the fault plane lowers/raises it as machines fail
-    and recover.
+    Every operation is O(log n) amortised (``evict_latest`` is O(r) in
+    the running-set size r ≤ m).  ``m`` is the capacity the ``free``
+    property reports against; the fault plane lowers/raises it as
+    machines fail and recover.
     """
 
     __slots__ = (
@@ -272,8 +267,6 @@ class EventSpine(EventWindowQueue):
         "_used",
         "_busy",
         "_running",
-        "_ends",
-        "_dead",
         "_rel",
         "_arr_ids",
         "_arr_head",
@@ -288,9 +281,6 @@ class EventSpine(EventWindowQueue):
         self._busy = 0.0
         #: job -> (start, allotment, scheduled end)
         self._running: dict[int, tuple[float, int, float]] = {}
-        #: sorted (end, job), including tombstones of finished/cancelled runs
-        self._ends: list[tuple[float, int]] = []
-        self._dead = 0
         self._rel = None
         self._arr_ids = None
         self._arr_head = 0
@@ -344,7 +334,6 @@ class EventSpine(EventWindowQueue):
         """Allocate ``k`` processors to ``job`` and schedule its FINISH."""
         self._running[job] = (now, k, end)
         self._used += k
-        insort(self._ends, (end, job))
         self.push(end, int(Transition.FINISH), job)
 
     def finish(self, job: int, time: float) -> "tuple[float, int] | None":
@@ -364,7 +353,6 @@ class EventSpine(EventWindowQueue):
         del self._running[job]
         self._used -= k
         self._busy += k * (time - start)
-        self._dead += 1
         return start, k
 
     def cancel(self, job: int) -> "tuple[float, int] | None":
@@ -379,7 +367,6 @@ class EventSpine(EventWindowQueue):
             return None
         start, k, _end = entry
         self._used -= k
-        self._dead += 1
         return start, k
 
     def evict_latest(self) -> tuple[int, float, int]:
@@ -390,32 +377,6 @@ class EventSpine(EventWindowQueue):
         victim = max(running, key=lambda j: (running[j][0], j))
         start, k = self.cancel(victim)
         return victim, start, k
-
-    def earliest_free(self, k: int) -> float:
-        """Earliest time ``k`` processors will be free (the EASY
-        reservation bound), given the currently running jobs.
-
-        Walks the sorted completion-time list, skipping tombstones of
-        finished/cancelled runs; when tombstones outnumber live entries
-        the list is rebuilt, so the walk stays O(running set).
-        """
-        if self._dead * 2 > len(self._ends):
-            self._ends = sorted(
-                (end, job) for job, (_s, _k, end) in self._running.items()
-            )
-            self._dead = 0
-        avail = self.m - self._used
-        running = self._running
-        for end, job in self._ends:
-            entry = running.get(job)
-            if entry is None or entry[2] != end:
-                continue
-            avail += entry[1]
-            if avail >= k:
-                return end
-        raise SchedulingError(  # pragma: no cover - k <= m always frees
-            f"allotment {k} can never be satisfied"
-        )
 
     # -- arrival tape --------------------------------------------------
 
@@ -444,8 +405,8 @@ class EventSpine(EventWindowQueue):
         self._arr_head = hi
         state = obs.ACTIVE
         if state is not None:
-            # The tape is the batch policies' arrival path (the FCFS heap
-            # pushes ARRIVAL transitions instead; both land on the same
-            # counter, and no policy uses both).
+            # The tape is the batch policies' arrival path (the FCFS
+            # policies count the arrivals of their kernel's windows; both
+            # land on the same counter, and no policy uses both).
             state.count("spine.transitions.arrival", hi - lo)
         return lo, hi

@@ -25,8 +25,8 @@ name):
 ``fcfs`` / ``fcfs-backfill``
     The §1.2 production-scheduler baselines, lifted from
     :mod:`repro.extensions.fcfs` into the on-line setting: jobs are
-    rigidified on arrival and started first-come-first-served on the
-    shared event core (``fcfs-backfill`` adds EASY backfilling — later
+    rigidified on arrival and started first-come-first-served by one
+    dispatch kernel (``fcfs-backfill`` adds EASY backfilling — later
     jobs may jump ahead only if they cannot delay the queue head's
     reservation).
 ``greedy-interval``
@@ -40,15 +40,16 @@ name):
     argument, so the trace-replay CLI exposes every policy except this
     one.
 
-All policies run on the same primitives as
-:class:`~repro.simulator.engine.ClusterSimulator` — the incremental
-:class:`~repro.simulator.events.EventSpine` with its
-:data:`~repro.core.validation.TIME_EPS` arrival/event windowing — so
-"simultaneous" means the same thing when a schedule is produced and when
-it is replayed on the simulated cluster.  The tests pin the batch
-policies bit for bit against the seed
+All policies window events as
+:class:`~repro.simulator.engine.ClusterSimulator` does — the batch
+policies on the incremental :class:`~repro.simulator.events.EventSpine`,
+the FCFS dispatchers in :func:`repro.kernels.fcfs_starts_core`, both
+with the :data:`~repro.core.validation.TIME_EPS` arrival/event
+windowing — so "simultaneous" means the same thing when a schedule is
+produced and when it is replayed on the simulated cluster.  The tests
+pin the batch policies bit for bit against the seed
 :class:`~repro.simulator.reference.ReferenceBatchScheduler`, and the FCFS
-dispatchers against their pre-spine copy in
+dispatchers, on every kernel backend, against their pre-spine copy in
 :mod:`repro.simulator.windowed`.
 """
 
@@ -59,12 +60,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import TIME_EPS
 from repro.exceptions import SchedulingError
-from repro.simulator.events import EventSpine, Transition
+from repro.simulator.events import EventSpine
 
 __all__ = [
     "OnlineResult",
@@ -339,7 +340,7 @@ class ReservationPolicy(BatchPolicy):
 
 
 class FcfsOnlinePolicy(OnlinePolicy):
-    """Immediate FCFS (optionally EASY-backfilled) on the event core.
+    """Immediate FCFS (optionally EASY-backfilled) as one kernel call.
 
     The §1.2 baseline of :mod:`repro.extensions.fcfs`, run genuinely
     on-line: jobs are rigidified (fixed user-request allotments via
@@ -350,13 +351,18 @@ class FcfsOnlinePolicy(OnlinePolicy):
     later arrivals may jump ahead only if they terminate by then, so the
     queue head is never delayed — EASY semantics.
 
-    The event loop is the shared incremental
-    :class:`~repro.simulator.events.EventSpine` (FINISH transitions free
-    processors before simultaneous ARRIVALs dispatch), so its notion of
-    simultaneity is identical to the simulator engine's; the running set,
-    the free-processor count and the EASY reservation bound
-    (:meth:`~repro.simulator.events.EventSpine.earliest_free`) all live
-    on the spine instead of being re-derived per event.
+    The whole event loop is one kernel call,
+    :func:`repro.kernels.fcfs_starts_core` (``REPRO_KERNELS`` picks its
+    backend).  It windows events exactly as the
+    :class:`~repro.simulator.events.EventSpine` does: windows of width
+    :data:`~repro.core.validation.TIME_EPS` anchored at their earliest
+    event, FINISH transitions freeing processors before simultaneous
+    ARRIVALs dispatch, arrivals ordered by ``(release, task_id)``.  The
+    policy rigidifies, gathers the allotment and duration columns, makes
+    the call and appends the started rows to the schedule once; under
+    :mod:`repro.obs` it records the ``spine.transitions.*`` counters and
+    the ``spine.window_depth`` histogram from the window depths the
+    kernel returns.
     """
 
     def __init__(self, backfill: bool = True, slack: float = 2.0) -> None:
@@ -376,105 +382,31 @@ class FcfsOnlinePolicy(OnlinePolicy):
     def _run_impl(self, instance: Instance) -> OnlineResult:
         from repro.extensions.fcfs import rigidify
 
-        m = instance.m
-        out = Schedule(m)
-        if instance.n == 0:
+        out = Schedule(instance.m)
+        n = instance.n
+        if n == 0:
             return OnlineResult(out, (), ())
 
-        n = instance.n
-        allot = rigidify(instance, slack=self.slack)
+        allot = rigidify(instance, slack=self.slack)  # in instance order
         ks = np.fromiter(allot.values(), dtype=np.int64, count=n)
-        durations = dict(
-            zip(allot, instance.times_matrix[np.arange(n), ks - 1].tolist())
+        durations = instance.times_matrix[np.arange(n), ks - 1]
+        rows, starts, depths = kernels.fcfs_starts_core(
+            instance.releases,
+            instance.task_ids,
+            ks,
+            durations,
+            instance.m,
+            self.backfill,
+            TIME_EPS,
         )
-        row_of = dict(zip(allot, range(n)))  # rigidify keeps instance order
-
-        # FINISH transitions free processors before simultaneous ARRIVALs
-        # enqueue; each window dispatches once.  The waiting queue is a
-        # list walked by a head index; backfilled jobs are tombstoned and
-        # compacted away once they outnumber the live tail, so a long
-        # backlog never pays O(queue) element shifts per start and the
-        # EASY scan only walks live entries.
-        finish = int(Transition.FINISH)
-        arrival = int(Transition.ARRIVAL)
-        spine = EventSpine(
-            m,
-            (
-                (r, arrival, j)
-                for r, j in zip(
-                    instance.releases.tolist(), instance.task_ids.tolist()
-                )
-            ),
-        )
-        waiting: list[int | None] = []  # arrival order; None = backfilled
-        head_i = 0
-        started: list[int] = []  # job ids in start order
-        start_times: list[float] = []
-
-        def start(job_id: int, now: float) -> None:
-            k = allot[job_id]
-            started.append(job_id)
-            start_times.append(now)
-            spine.start(job_id, k, now, now + durations[job_id])
-
-        tombstones = 0
-
-        def dispatch(now: float) -> None:
-            nonlocal head_i, tombstones
-            if tombstones * 2 > len(waiting) - head_i:
-                # Compact so the backfill scan only walks live entries.
-                live = [j for j in waiting[head_i:] if j is not None]
-                waiting[:] = live
-                head_i = 0
-                tombstones = 0
-            while head_i < len(waiting):
-                head = waiting[head_i]
-                if head is None:  # backfilled earlier
-                    head_i += 1
-                    tombstones -= 1
-                    continue
-                if allot[head] <= spine.free:
-                    start(head, now)
-                    head_i += 1
-                    continue
-                if not self.backfill:
-                    return
-                # EASY: the head holds a reservation; later jobs may fill
-                # the current hole only if they finish by it.
-                t_res = spine.earliest_free(allot[head])
-                for i in range(head_i + 1, len(waiting)):
-                    cand = waiting[i]
-                    if (
-                        cand is not None
-                        and allot[cand] <= spine.free
-                        and now + durations[cand] <= t_res + TIME_EPS
-                    ):
-                        start(cand, now)
-                        waiting[i] = None
-                        tombstones += 1
-                return
-
-        while spine:
-            window = spine.pop_window()
-            now = window[0][0]
-            for time, priority, job_id in window:
-                if priority == finish:
-                    spine.finish(job_id, time)
-                else:  # arrival
-                    waiting.append(job_id)
-            dispatch(now)
-
-        if head_i < len(waiting) and any(
-            j is not None for j in waiting[head_i:]
-        ):  # pragma: no cover - every start enqueues a completion
-            raise SchedulingError("FCFS policy stalled with jobs waiting")
-        out.add_rows(
-            instance,
-            [row_of[j] for j in started],
-            start_times,
-            [allot[j] for j in started],
-            [durations[j] for j in started],
-        )
+        state = obs.ACTIVE
+        if state is not None:
+            # Every job arrives once and finishes once.
+            state.count("spine.transitions.arrival", n)
+            state.count("spine.transitions.finish", n)
+            for depth in depths.tolist():
+                state.observe("spine.window_depth", depth)
+        out.add_rows(instance, rows, starts, ks[rows], durations[rows])
         return OnlineResult(out, (), ())
 
 

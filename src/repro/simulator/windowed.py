@@ -8,8 +8,11 @@ queue and hand-rolled running dict) moved here *verbatim*.  They are
 intentionally unoptimised snapshots and the only second implementation
 of these two loops: ``tests/simulator/test_spine.py`` runs both paths on
 random instances, fault-injected runs included, and requires
-bit-identical schedules, so any behavioural drift in the spine port is
-caught against code that provably produced the golden corpora.  The
+bit-identical schedules, and ``tests/kernels/test_kernel_backends.py``
+runs every backend of the FCFS dispatch kernel
+(:func:`repro.kernels.fcfs_starts_core`) against the dispatcher here on
+tie-heavy inputs, so any behavioural drift in either port is caught
+against code that provably produced the golden corpora.  The
 batch policies need no copy here: they are pinned against the seed
 :class:`~repro.simulator.reference.ReferenceBatchScheduler`.
 

@@ -714,8 +714,10 @@ LIST_ENGINES = ("List Scheduling", "LPTF", "SAF", "WSPT", "Sequential", "Gang")
 LIST_SIZES = ((25, 13), (400, 200), (1000, 64))  # (n, m)
 LIST_OBJECT_CELLS = (("ragged", 60, 16), ("ragged", 30, 64), ("rigid", 60, 16), ("rigid", 5, 16))
 #: On-line batch policies pinned only by the windowed oracles before, on
-#: the SWF fixtures; the reservations are those of
-#: ``tests/simulator/test_spine.py::test_reservation_policy_bit_identical``.
+#: the SWF fixtures; the reservations are recorded with the
+#: ``reservation`` cells of ``list_goldens.json``, and
+#: ``tests/simulator/test_policies.py::test_reservation_policy_respects_capacity``
+#: checks the policy against its capacity profile.
 LIST_ONLINE_POLICIES = ("greedy-interval", "reservation")
 LIST_RESERVATIONS = ((0.0, 30.0, 3), (45.0, 60.0, 5))
 

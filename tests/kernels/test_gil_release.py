@@ -87,12 +87,24 @@ def _graham_call(mod):
     return lambda: mod.graham_starts_core(allot, dur, 16, 0.0, None)
 
 
+def _fcfs_call(mod):
+    # 1M jobs on 16 processors at load ~0.8, EASY backfilling on.
+    rng = np.random.default_rng(17)
+    n = 1_000_000
+    releases = np.cumsum(rng.exponential(1.0, size=n))
+    ids = np.arange(n, dtype=np.int64)
+    allot = rng.integers(1, 8, size=n).astype(np.int64)
+    dur = rng.uniform(0.5, 5.0, size=n)
+    return lambda: mod.fcfs_starts_core(releases, ids, allot, dur, 16, True, 1e-9)
+
+
 _KERNEL_CALLS = {
     "min_work_value": _knapsack_min_work_call,
     "min_work": _knapsack_min_work_reconstruct_call,
     "dual_sweep": _dual_sweep_call,
     "knapsack_select": _knapsack_select_call,
     "graham_starts": _graham_call,
+    "fcfs_starts": _fcfs_call,
 }
 
 

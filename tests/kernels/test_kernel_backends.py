@@ -2,21 +2,24 @@
 
 Every backend that imports here (``numpy`` always; ``cffi`` when its
 toolchain is present) must reproduce the pure-NumPy reference **bit for
-bit** on these three kernels, and the library-level
-entry points must agree with the seed oracles of
-``algorithms/reference.py`` and with exhaustive brute force on small
-inputs.  The same guarantee end-to-end: DEMT schedules are identical
-whichever backend is active.
+bit** on every kernel, and the library-level entry points must agree
+with the seed oracles of ``algorithms/reference.py``, with exhaustive
+brute force on small inputs and, for the FCFS dispatch loop, with the
+windowed dispatcher of ``simulator/windowed.py``.  The same guarantee
+end-to-end: DEMT schedules are identical whichever backend is active.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import io
 import os
 import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +40,14 @@ from repro.algorithms.reference import (
     reference_dual_approximation,
     reference_knapsack_min_work,
 )
+from repro.core.instance import Instance
+from repro.core.validation import TIME_EPS
+from repro.extensions.fcfs import rigidify
+from repro.simulator import windowed
+from repro.simulator.events import EventWindowQueue
+from repro.simulator.online import FcfsOnlinePolicy
 from repro.workloads.generator import generate_workload
+from repro.workloads.trace import load_trace, synthesize_swf, trace_instance
 
 BACKENDS = kernels.available_backend_names()
 NUMPY = kernels.load_backend("numpy")
@@ -219,6 +229,141 @@ def test_graham_backends_and_oracle(case):
             assert got is not None, mod.name
             assert np.asarray(got[0], dtype=np.float64).tobytes() == ref[0].tobytes(), mod.name
             assert list(got[1]) == list(ref[1]), mod.name
+
+
+# --------------------------------------------------------------------- #
+# FCFS / EASY dispatch loop                                             #
+# --------------------------------------------------------------------- #
+#: Sub-TIME_EPS offsets from the integer grid: exact ties, events inside
+#: one window on either side of a tie (±0.4e-9), and chains 0.6e-9 apart
+#: whose third link falls outside the window anchored at the first.
+_JITTER = (0.0, 0.4e-9, -0.4e-9, 0.6e-9, 1.2e-9, 1.8e-9)
+
+
+def _tie_heavy_instance(n: int, m: int, seed: int) -> Instance:
+    """Rigid jobs (rigidify keeps their one allotment) with releases and
+    durations on an integer grid plus sub-TIME_EPS jitter, and task ids
+    shuffled against row order."""
+    rng = np.random.default_rng(seed)
+    releases = rng.integers(1, max(1, n // 4) + 1, size=n) + rng.choice(_JITTER, size=n)
+    durations = rng.integers(1, 6, size=n) + rng.choice(_JITTER[:4], size=n)
+    ks = rng.integers(1, m + 1, size=n)
+    times = np.full((n, m), np.inf)
+    times[np.arange(n), ks - 1] = durations
+    ids = rng.permutation(n) * 3 + 1
+    return Instance.from_arrays(times, None, releases, m, task_ids=ids)
+
+
+def _fcfs_columns(inst: Instance):
+    """The kernel's inputs, gathered as ``FcfsOnlinePolicy`` gathers them."""
+    ks = np.fromiter(rigidify(inst).values(), dtype=np.int64, count=inst.n)
+    durations = inst.times_matrix[np.arange(inst.n), ks - 1]
+    return inst.releases, inst.task_ids, ks, durations, inst.m
+
+
+def _placement_bits(schedule) -> list[tuple]:
+    """Placements in insertion (start) order, floats as exact bits."""
+    return [
+        (p.task.task_id, _bits(p.start), p.allotment, _bits(p.duration))
+        for p in schedule.placements
+    ]
+
+
+def _windowed_run(inst: Instance, backfill: bool):
+    """The windowed oracle's schedule and the depth of every event window
+    it popped."""
+    depths: list[int] = []
+
+    class DepthQueue(EventWindowQueue):
+        def pop_window(self):
+            window = super().pop_window()
+            depths.append(len(window))
+            return window
+
+    with mock.patch.object(windowed, "EventWindowQueue", DepthQueue):
+        result = windowed.WindowedFcfsPolicy(backfill=backfill).run(inst)
+    return result.schedule, depths
+
+
+def _assert_fcfs_backends_agree(columns, backfill: bool):
+    """Every backend returns the NumPy reference's rows, start bits and
+    window depths; returns the reference."""
+    ref = NUMPY.fcfs_starts_core(*columns, backfill, TIME_EPS)
+    for mod in OTHERS:
+        got = mod.fcfs_starts_core(*columns, backfill, TIME_EPS)
+        for a, b, what in zip(got, ref, ("rows", "starts", "depths")):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (mod.name, what)
+    return ref
+
+
+@given(
+    n=st.integers(1, 200),
+    m=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    backfill=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_fcfs_backends_and_oracle(n, m, seed, backfill):
+    inst = _tie_heavy_instance(n, m, seed)
+    oracle, oracle_depths = _windowed_run(inst, backfill)
+    want = _placement_bits(oracle)
+    for name in BACKENDS:
+        kernels.set_backend(name)
+        got = FcfsOnlinePolicy(backfill=backfill).run(inst).schedule
+        assert _placement_bits(got) == want, name
+    *_, depths = _assert_fcfs_backends_agree(_fcfs_columns(inst), backfill)
+    assert depths.tolist() == oracle_depths
+
+
+def test_fcfs_window_time_is_the_first_finish():
+    """A job released 0.5e-9 before a FINISH at 1.0 shares its window and
+    starts at 1.0, the window's first event by (priority, time, id), not
+    at the window's earliest time."""
+    releases = np.array([0.0, 1.0 - 0.5e-9])
+    columns = (releases, np.array([0, 1]), np.array([2, 1]), np.array([1.0, 1.0]), 2)
+    for backfill in (False, True):
+        rows, starts, depths = _assert_fcfs_backends_agree(columns, backfill)
+        assert rows.tolist() == [0, 1]
+        assert starts.tolist() == [0.0, 1.0]
+        assert depths.tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize("mod", OTHERS, ids=lambda mod: mod.name)
+def test_compiled_fcfs_checks_its_buffers(mod):
+    """The C loop holds at most m running jobs, reads every column n long
+    and writes one depth per window: the wrapper refuses allotments
+    outside [1, m], mismatched lengths, and times or an eps that would
+    leave a window empty, before passing any pointer."""
+    one = (np.zeros(1), np.array([7]))
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match=r"\[1, 4\]"):
+            mod.fcfs_starts_core(*one, np.array([bad]), np.ones(1), 4, True, TIME_EPS)
+    with pytest.raises(ValueError, match="parallel"):
+        mod.fcfs_starts_core(*one, np.array([1, 1]), np.ones(1), 4, True, TIME_EPS)
+    for rel, dur in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            mod.fcfs_starts_core(
+                np.array([rel]), one[1], np.array([1]), np.array([dur]), 4, True, TIME_EPS
+            )
+    for eps in (-1e-9, np.nan):
+        with pytest.raises(ValueError, match="eps"):
+            mod.fcfs_starts_core(*one, np.array([1]), np.ones(1), 4, True, eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _archive_columns(load: float):
+    trace = load_trace(io.StringIO(synthesize_swf(20_000, 64, seed=19, load=load)))
+    return _fcfs_columns(trace_instance(trace, 64, "rigid", online=True))
+
+
+@pytest.mark.skipif(not OTHERS, reason="no compiled kernel backend (cffi) available")
+@pytest.mark.parametrize("backfill", [False, True])
+@pytest.mark.parametrize("load", [0.8, 1.2])
+def test_fcfs_archive_backends_identical(load, backfill):
+    """20k-job archives: at load 1.2 the queue keeps growing, so the EASY
+    scans walk thousands of tombstoned entries and compaction runs many
+    times.  Every backend returns the reference's bits."""
+    _assert_fcfs_backends_agree(_archive_columns(load), backfill)
 
 
 # --------------------------------------------------------------------- #

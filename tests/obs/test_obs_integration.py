@@ -1,6 +1,6 @@
 """Integration tests: hooks across the algorithm/simulator/campaign stack.
 
-Three invariants are pinned here:
+Four invariants are pinned here:
 
 * enabling tracing changes **nothing** about computed schedules — the
   bit-identity tests compare placements with observability on and off;
@@ -10,11 +10,18 @@ Three invariants are pinned here:
 * robustness cells record **real** wall-clock seconds (PR 7 pinned them
   to 0.0) without breaking serial-vs-process record identity, because
   record equality excludes ``seconds``.
+* the FCFS policies report the **same** event-spine tally
+  (``spine.transitions.*``, ``spine.window_depth``) on every kernel
+  backend as the spine-driven loop the dispatch kernel replaced.
 """
 
 from __future__ import annotations
 
-from repro import obs
+from pathlib import Path
+
+import pytest
+
+from repro import kernels, obs
 from repro.workloads.generator import generate_workload
 
 #: Integer counters that must merge exactly across backends: pure
@@ -92,6 +99,94 @@ class TestBitIdentity:
         # The event spine saw transitions while replaying arrivals.
         assert any(k.startswith("spine.transitions.") for k in state.counters)
         assert any(s.name.startswith("policy:") for s in state.spans)
+
+
+#: What the spine-driven FCFS loop before the dispatch kernel recorded on
+#: an obs-enabled run: ``spine.transitions.*`` counters and the
+#: ``spine.window_depth`` histogram.  The SWF fixture's events never share
+#: a window; the tie-heavy instance's do.
+FCFS_CIRNE_SMALL = {
+    "counters": {"spine.transitions.arrival": 60, "spine.transitions.finish": 60},
+    "window_depth": {"count": 120, "total": 120, "min": 1, "max": 1, "buckets": {1: 120}},
+}
+FCFS_TIE_HEAVY = {
+    "fcfs": {
+        "counters": {"spine.transitions.arrival": 40, "spine.transitions.finish": 40},
+        "window_depth": {
+            "count": 42, "total": 80, "min": 1, "max": 11,
+            "buckets": {1: 31, 2: 4, 4: 2, 8: 4, 16: 1},
+        },
+    },
+    "fcfs-backfill": {
+        "counters": {"spine.transitions.arrival": 40, "spine.transitions.finish": 40},
+        "window_depth": {
+            "count": 37, "total": 80, "min": 1, "max": 11,
+            "buckets": {1: 22, 2: 8, 4: 2, 8: 4, 16: 1},
+        },
+    },
+}
+
+
+def _tie_heavy_instance():
+    """40 rigid jobs on 4 processors with integer releases and durations,
+    task ids shuffled against row order."""
+    import numpy as np
+
+    from repro.core.instance import Instance
+
+    rng = np.random.default_rng(19)
+    n, m = 40, 4
+    ks = rng.integers(1, m + 1, size=n)
+    times = np.full((n, m), np.inf)
+    times[np.arange(n), ks - 1] = rng.integers(1, 4, size=n)
+    releases = rng.integers(0, 10, size=n).astype(float)
+    return Instance.from_arrays(times, None, releases, m, task_ids=rng.permutation(n))
+
+
+def _spine_tally(state) -> dict:
+    return {
+        "counters": {
+            k: v for k, v in state.counters.items() if k.startswith("spine.")
+        },
+        "window_depth": state.hists["spine.window_depth"],
+    }
+
+
+@pytest.mark.parametrize("mode", ["fcfs", "fcfs-backfill"])
+@pytest.mark.parametrize("backend", kernels.available_backend_names())
+class TestFcfsSpineTally:
+    """The FCFS policies report the same spine tally as before their loop
+    became a kernel, on every backend, plus the kernel's own tallies."""
+
+    def _traced(self, backend, run):
+        previous = kernels.set_backend(backend)
+        try:
+            obs.enable(fresh=True)
+            try:
+                run()
+            finally:
+                state = obs.disable()
+        finally:
+            kernels.set_backend(previous)
+        assert state.counters["kernel.fcfs_calls"] == 1
+        assert state.counters["kernel.dispatch." + backend] == 1
+        return _spine_tally(state)
+
+    def test_cirne_small_replay(self, backend, mode):
+        from repro.experiments.replay import replay_trace
+
+        path = Path(__file__).resolve().parents[1] / "data" / "traces" / "cirne_small.swf"
+        assert self._traced(backend, lambda: replay_trace(str(path), modes=mode)) == (
+            FCFS_CIRNE_SMALL
+        )
+
+    def test_tie_heavy_windows(self, backend, mode):
+        from repro.simulator.online import get_policy
+
+        inst = _tie_heavy_instance()
+        assert self._traced(backend, lambda: get_policy(mode).run(inst)) == (
+            FCFS_TIE_HEAVY[mode]
+        )
 
 
 def _run_campaign(backend):

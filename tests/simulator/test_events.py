@@ -298,29 +298,6 @@ class TestEventSpine:
         assert s.evict_latest() == (1, 0.0, 2)
         assert s.used == 0
 
-    def test_earliest_free_walks_live_ends(self):
-        # The EASY reservation bound; meaningful when k > free (callers
-        # check the fast path first), answered from the sorted end list.
-        s = self._spine(m=8)
-        s.start(1, 4, 0.0, 10.0)
-        s.start(2, 3, 0.0, 20.0)
-        assert s.free == 1
-        assert s.earliest_free(2) == 10.0
-        assert s.earliest_free(5) == 10.0
-        assert s.earliest_free(8) == 20.0
-
-    def test_earliest_free_skips_tombstones(self):
-        s = self._spine(m=8)
-        s.start(1, 4, 0.0, 10.0)
-        s.start(2, 4, 0.0, 30.0)
-        s.cancel(1)  # its (10.0, 1) end entry is now a tombstone
-        assert s.earliest_free(8) == 30.0
-        # Many dead entries trigger the rebuild path and stay correct.
-        for j in range(10, 30):
-            s.start(j, 1, 0.0, 5.0)
-            s.cancel(j)
-        assert s.earliest_free(8) == 30.0
-
     def test_capacity_follows_m(self):
         s = self._spine(m=4)
         s.start(1, 3, 0.0, 10.0)
