@@ -17,40 +17,48 @@ fault axes at once:
   than planned can leave no room for a later planned start: that start
   is **deferred** to the next batch.
 * **failures** — capacity-change events interleave with the batch's
-  starts and completions on the shared incremental
-  :class:`~repro.simulator.events.EventSpine` (FINISH transitions free
-  capacity first, RESERVE capacity changes apply second, STARTs allocate
-  last).  When a drop leaves the running set over capacity, victims are
-  evicted LIFO (latest start, then largest id —
-  :meth:`~repro.simulator.events.EventSpine.evict_latest`): the job
-  **crashes**, its work so far is lost, and it restarts *from scratch*
-  in a later batch — the crash-and-restart semantics of checkpoint-free
-  clusters.  A crashed job's pending FINISH stays in the heap as a
-  tombstone (it still anchors event windows, exactly like the pre-spine
-  loop's stale completions) and resolves to nothing.
+  starts and completions in ``TIME_EPS`` event windows (FINISH
+  transitions free capacity first, RESERVE capacity changes apply
+  second, STARTs allocate last).  When a drop leaves the running set
+  over capacity, victims are evicted LIFO (latest start, then largest
+  id): the job **crashes**, its work so far is lost, and it restarts
+  *from scratch* in a later batch — the crash-and-restart semantics of
+  checkpoint-free clusters.  A crashed job's pending FINISH stays queued
+  as a stale event (it still anchors an event window, exactly like the
+  pre-spine loop's stale completions) and resolves to nothing.
+
+The execution of one planned batch — the windows, evictions, deferrals
+and the batch's log records — is one kernel call,
+:func:`repro.kernels.faulty_batch_core` (``REPRO_KERNELS`` picks its
+backend); the policy keeps the idle-time capacity catch-up, batch
+formation, the off-line engine call, the plan check and the restart
+budget.
 
 The realised schedule holds only the successful (completed) placements
 with their true durations, so it validates against the truth instance;
 the :class:`~repro.simulator.events.EventLog` records the whole story
 (``BATCH_STARTED`` / ``STARTED`` / ``COMPLETED`` / ``CRASHED`` /
-``MACHINE_DOWN`` / ``MACHINE_UP``) for forensics and tests.
+``MACHINE_DOWN`` / ``MACHINE_UP``) for forensics and tests.  It is
+stored as columns and built on first read of
+:attr:`FaultyOnlineResult.log`; its time-order checks run on the columns
+at the end of the run.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import TIME_EPS
 from repro.exceptions import ModelError, SchedulingError
 from repro.faults.noise import NoiseModel, parse_noise, perturb_instance
-from repro.simulator.events import Event, EventKind, EventLog, EventSpine, Transition
+from repro.simulator.events import Event, EventKind, EventLog
 from repro.simulator.online import BatchPolicy
 from repro.utils.rng import derive_rng
 
@@ -251,32 +259,88 @@ def generate_failures(
     return parse_failures(model).realize(m, horizon)
 
 
-@dataclass(frozen=True)
+#: Event kinds of the log codes :func:`repro.kernels.faulty_batch_core`
+#: returns.
+_LOG_KINDS = {
+    kernels.LOG_BATCH_STARTED: EventKind.BATCH_STARTED,
+    kernels.LOG_STARTED: EventKind.STARTED,
+    kernels.LOG_COMPLETED: EventKind.COMPLETED,
+    kernels.LOG_CRASHED: EventKind.CRASHED,
+    kernels.LOG_MACHINE_DOWN: EventKind.MACHINE_DOWN,
+    kernels.LOG_MACHINE_UP: EventKind.MACHINE_UP,
+}
+_MACHINE_CODES = (kernels.LOG_MACHINE_DOWN, kernels.LOG_MACHINE_UP)
+
+
 class FaultyOnlineResult:
     """Outcome of a faulty on-line run.
 
     Like :class:`~repro.simulator.online.OnlineResult` plus the fault
     forensics: the number of crash-and-restart evictions and
-    capacity-driven start deferrals, and the full event log.
+    capacity-driven start deferrals, and the full event log.  The policy
+    stores the log as columns — times, kind codes and job (or machine)
+    ids, see :func:`repro.kernels.faulty_batch_core` — and :attr:`log`
+    builds the :class:`~repro.simulator.events.EventLog` from them on
+    first read; a ``log`` given to the constructor is kept as is.
     """
 
-    schedule: Schedule
-    batch_starts: tuple[float, ...]
-    batch_contents: tuple[frozenset[int], ...]
-    crashes: int = 0
-    deferrals: int = 0
-    log: EventLog = field(default_factory=EventLog)
+    def __init__(
+        self,
+        schedule: Schedule,
+        batch_starts: tuple[float, ...],
+        batch_contents: tuple[frozenset[int], ...],
+        crashes: int = 0,
+        deferrals: int = 0,
+        log: "EventLog | None" = None,
+        *,
+        log_columns: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
+    ) -> None:
+        self.schedule = schedule
+        self.batch_starts = batch_starts
+        self.batch_contents = batch_contents
+        self.crashes = crashes
+        self.deferrals = deferrals
+        self._log = log
+        self._log_columns = log_columns
+
+    @property
+    def log(self) -> EventLog:
+        """The run's :class:`~repro.simulator.events.EventLog`."""
+        if self._log is None:
+            events: list[Event] = []
+            if self._log_columns is not None:
+                times, kinds, refs = (col.tolist() for col in self._log_columns)
+                for t, code, ref in zip(times, kinds, refs):
+                    if code in _MACHINE_CODES:
+                        events.append(Event(t, _LOG_KINDS[code], procs=(ref,)))
+                    else:
+                        events.append(Event(t, _LOG_KINDS[code], job_id=ref))
+            self._log = EventLog(events)
+        return self._log
 
     @property
     def n_batches(self) -> int:
         return len(self.batch_starts)
 
 
-#: Spine transitions of the faulty batch simulation: FINISH frees
-#: capacity, then RESERVE capacity changes apply, then STARTs allocate.
-_FINISH = int(Transition.FINISH)
-_RESERVE = int(Transition.RESERVE)
-_START = int(Transition.START)
+def _check_log_times(times: np.ndarray) -> None:
+    """The checks :class:`~repro.simulator.events.Event` and
+    :meth:`~repro.simulator.events.EventLog.append` make, on the log's
+    time column: the first record with a negative time, or more than
+    ``TIME_EPS`` before the latest time logged before it, raises their
+    :class:`ValueError`."""
+    if times.size == 0:
+        return
+    before = np.empty_like(times)
+    before[0] = -np.inf
+    np.fmax.accumulate(times[:-1], out=before[1:])
+    bad = np.flatnonzero((times < 0) | (times < before - TIME_EPS))
+    if bad.size:
+        i = int(bad[0])
+        t = float(times[i])
+        if t < 0:
+            raise ValueError(f"negative event time {t}")
+        raise ValueError(f"event at {t} appended after {float(before[i])}")
 
 
 class FaultyBatchPolicy(BatchPolicy):
@@ -334,22 +398,33 @@ class FaultyBatchPolicy(BatchPolicy):
         cap_events = trace.events if trace is not None else ()
 
         out = Schedule(m)
-        log = EventLog()
         if truth.n == 0:
-            return FaultyOnlineResult(out, (), (), log=log)
+            return FaultyOnlineResult(out, (), ())
+
+        # The failure trace as columns, once per run: the kernel reads the
+        # arrays, the idle catch-up below the lists.
+        n_cap = len(cap_events)
+        cap_t = [e[0] for e in cap_events]
+        cap_delta = [e[2] for e in cap_events]
+        cap_cols = (
+            np.array(cap_t, dtype=np.float64),
+            np.array([e[1] for e in cap_events], dtype=np.int64),
+            np.array(cap_delta, dtype=np.int64),
+        )
 
         est = perturb_instance(truth, self.noise)
         truth_times = truth.times_matrix
         est_times = est.times_matrix
         weights = truth.weights
         ids = truth.task_ids
-        row_of = {int(tid): i for i, tid in enumerate(ids.tolist())}
-        # Completed runs in completion order: rows, starts, allotments and
-        # true durations, appended to the schedule once at the end.
-        done_rows: list[int] = []
-        done_starts: list[float] = []
-        done_allots: list[int] = []
-        done_durs: list[float] = []
+        # Task ids -> instance rows, one searchsorted per lookup.
+        id_order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[id_order]
+        # Completed runs, one block per batch in completion order: rows,
+        # starts, allotments and true durations, appended to the schedule
+        # once at the end; the log's columns likewise.
+        done_cols: list[tuple] = []
+        log_cols: list[tuple] = []
 
         # Pending queue: (release, id).  Crashes and deferrals push jobs
         # back with their crash/deferral instant as the new release.
@@ -366,25 +441,30 @@ class FaultyBatchPolicy(BatchPolicy):
         # and capacity state never leaks backwards across batches.
         witnessed = 0.0
 
-        def apply_capacity(t: float, mach: int, delta: int) -> None:
-            nonlocal capacity, witnessed
-            capacity += delta
-            witnessed = max(witnessed, t)
-            kind = EventKind.MACHINE_UP if delta > 0 else EventKind.MACHINE_DOWN
-            log.append(Event(t, kind, procs=(mach,)))
-
         batch_starts: list[float] = []
         batch_contents: list[frozenset[int]] = []
         crashes = deferrals = 0
+        transitions = [0, 0, 0]
+        depths: list[np.ndarray] = []
+        obs_state = obs.ACTIVE
 
         now = pending[0][0]
         while pending:
             now = max(now, pending[0][0])
             # Catch up idle-time capacity changes (nothing runs between
             # batches, so they cannot evict — just log and apply).
-            while cap_ptr < len(cap_events) and cap_events[cap_ptr][0] <= now:
-                apply_capacity(*cap_events[cap_ptr])
+            idle = cap_ptr
+            while cap_ptr < n_cap and cap_t[cap_ptr] <= now:
+                capacity += cap_delta[cap_ptr]
+                witnessed = max(witnessed, cap_t[cap_ptr])
                 cap_ptr += 1
+            if cap_ptr > idle:
+                up = cap_cols[2][idle:cap_ptr] > 0
+                log_cols.append((
+                    cap_cols[0][idle:cap_ptr],
+                    np.where(up, kernels.LOG_MACHINE_UP, kernels.LOG_MACHINE_DOWN),
+                    cap_cols[1][idle:cap_ptr],
+                ))
 
             # Heap pops come out (release, id)-sorted — the same batch
             # member order :class:`BatchPolicy` derives via lexsort, so a
@@ -392,7 +472,7 @@ class FaultyBatchPolicy(BatchPolicy):
             batch: list[int] = []
             while pending and pending[0][0] <= now + TIME_EPS:
                 batch.append(heapq.heappop(pending)[1])
-            idx = np.asarray([row_of[j] for j in batch], dtype=np.intp)
+            idx = id_order[np.searchsorted(sorted_ids, batch)]
 
             # Plan the batch on the *estimates* (time origin 0 at `now`).
             sub = Instance.from_arrays(
@@ -408,99 +488,42 @@ class FaultyBatchPolicy(BatchPolicy):
                 raise SchedulingError(
                     "off-line scheduler did not place exactly the batch's tasks"
                 )
-            log.append(Event(now, EventKind.BATCH_STARTED))
             batch_starts.append(now)
             batch_contents.append(frozenset(batch))
-            obs_state = obs.ACTIVE
             if obs_state is not None:
                 obs_state.count("online.batches")
                 obs_state.observe("online.batch_size", len(batch))
 
             # Execute: starts at their planned offsets, completions at the
-            # *true* durations, capacity events interleaved — all on one
-            # batch-local spine (FINISH / RESERVE / START transitions).
-            spine = EventSpine(m)
-            alloc: dict[int, int] = {}
-            durs: dict[int, float] = {}  # true duration of the running run
-            horizon_t = now
+            # *true* durations, capacity events interleaved — one kernel
+            # call per batch (FINISH / RESERVE / START windows).
             c = plan.columns()
-            for jid, k, start in zip(
-                c.task_id.tolist(), c.allotment.tolist(), c.start.tolist()
-            ):
-                alloc[jid] = k
-                s = now + start
-                spine.at(s, Transition.START, jid)
-                horizon_t = max(horizon_t, s + float(truth_times[row_of[jid], k - 1]))
-            batch_cap_end = cap_ptr
-            while (
-                batch_cap_end < len(cap_events)
-                and cap_events[batch_cap_end][0] <= horizon_t + TIME_EPS
-            ):
-                spine.at(
-                    cap_events[batch_cap_end][0], Transition.RESERVE, batch_cap_end
-                )
-                batch_cap_end += 1
+            rows = id_order[np.searchsorted(sorted_ids, c.task_id)]
+            durs = truth_times[rows, c.allotment - 1]
+            res = kernels.faulty_batch_core(
+                now, c.task_id, c.allotment, c.start, durs, *cap_cols,
+                cap_ptr, capacity, witnessed, TIME_EPS,
+            )
+            for t, victim in zip(res.crash_times.tolist(), res.crash_ids.tolist()):
+                restarts[victim] = restarts.get(victim, 0) + 1
+                if restarts[victim] > self.max_restarts:
+                    raise SchedulingError(
+                        f"job {victim} crashed more than {self.max_restarts} times"
+                    )
+                heapq.heappush(pending, (t, victim))
+            for t, jid in zip(res.defer_times.tolist(), res.defer_ids.tolist()):
+                heapq.heappush(pending, (t, jid))
+            crashes += len(res.crash_ids)
+            deferrals += len(res.defer_ids)
+            done = res.done
+            done_cols.append((rows[done], res.done_starts, c.allotment[done], durs[done]))
+            log_cols.append((res.log_times, res.log_kinds, res.log_refs))
+            capacity, cap_ptr, witnessed = res.capacity, res.cap_ptr, res.witnessed
+            if obs_state is not None:
+                transitions = [a + b for a, b in zip(transitions, res.transitions)]
+                depths.append(res.depths)
 
-            unresolved = len(alloc)
-            started_any = False
-            batch_end = now
-
-            def evict_over_capacity(t: float) -> None:
-                nonlocal crashes, unresolved, batch_end
-                batch_end = max(batch_end, t)
-                while spine.used > capacity and spine.n_running:
-                    victim, _s, _k = spine.evict_latest()
-                    restarts[victim] = restarts.get(victim, 0) + 1
-                    if restarts[victim] > self.max_restarts:
-                        raise SchedulingError(
-                            f"job {victim} crashed more than {self.max_restarts} times"
-                        )
-                    log.append(Event(t, EventKind.CRASHED, job_id=victim))
-                    heapq.heappush(pending, (t, victim))
-                    crashes += 1
-                    unresolved -= 1
-
-            while unresolved > 0:
-                if not spine:  # pragma: no cover - every start is queued
-                    raise SchedulingError("faulty batch simulation stalled")
-                for t, prio, ident in spine.pop_window():
-                    if prio == _RESERVE:
-                        if ident == cap_ptr:  # skipped events never reach here
-                            apply_capacity(*cap_events[cap_ptr])
-                            cap_ptr += 1
-                            evict_over_capacity(t)
-                        continue
-                    jid = ident
-                    if prio == _FINISH:
-                        resolved = spine.finish(jid, t)
-                        if resolved is None:
-                            continue  # crashed after this FINISH was queued
-                        s, k = resolved
-                        done_rows.append(row_of[jid])
-                        done_starts.append(s)
-                        done_allots.append(k)
-                        done_durs.append(durs[jid])
-                        log.append(Event(t, EventKind.COMPLETED, job_id=jid))
-                        unresolved -= 1
-                        batch_end = max(batch_end, t)
-                        continue
-                    # A planned start: allocate if it fits the *current*
-                    # capacity, else defer the job to a later batch.
-                    k = alloc[jid]
-                    if k <= capacity - spine.used:
-                        dur = float(truth_times[row_of[jid], k - 1])
-                        durs[jid] = dur
-                        spine.start(jid, k, t, t + dur)
-                        started_any = True
-                        log.append(Event(t, EventKind.STARTED, job_id=jid))
-                    else:
-                        heapq.heappush(pending, (t, jid))
-                        deferrals += 1
-                        unresolved -= 1
-                        batch_end = max(batch_end, t)
-
-            witnessed = max(witnessed, batch_end)
-            if started_any or not pending:
+            if res.started_any or not pending:
                 now = witnessed
                 continue
             # Nothing could start (capacity too low for every planned
@@ -513,9 +536,15 @@ class FaultyBatchPolicy(BatchPolicy):
                 raise SchedulingError("batch cannot start and capacity never recovers")
             now = max(min(candidates), witnessed)
 
-        out.add_rows(truth, done_rows, done_starts, done_allots, done_durs)
-        obs_state = obs.ACTIVE
+        log_times, log_kinds, log_refs = (np.concatenate(col) for col in zip(*log_cols))
+        _check_log_times(log_times)
+        out.add_rows(truth, *(np.concatenate(col) for col in zip(*done_cols)))
         if obs_state is not None:
+            for name, count in zip(("finish", "reserve", "start"), transitions):
+                if count:
+                    obs_state.count("spine.transitions." + name, count)
+            for depth in np.concatenate(depths).tolist():
+                obs_state.observe("spine.window_depth", depth)
             if crashes:
                 obs_state.count("faults.crashes", crashes)
             if deferrals:
@@ -526,5 +555,5 @@ class FaultyBatchPolicy(BatchPolicy):
             batch_contents=tuple(batch_contents),
             crashes=crashes,
             deferrals=deferrals,
-            log=log,
+            log_columns=(log_times, log_kinds, log_refs),
         )

@@ -1,13 +1,14 @@
-"""Pluggable compiled kernels for the DEMT algorithm core and FCFS dispatch.
+"""Pluggable compiled kernels for the DEMT core and the on-line event loops.
 
 The inner loops that dominate DEMT end-to-end time — the max-weight
 knapsack DP + reconstruction, the binary-choice min-work DP of the dual
 approximation (value only, and with reconstruction), the dual
 approximation's one-λ sweep over the time matrix, and the Graham
-list-scheduling event loop — and the on-line FCFS / EASY-backfilling
-dispatch loop of the ``fcfs`` and ``fcfs-backfill`` policies live behind
-this package's dispatch layer.  Two interchangeable backends implement
-them:
+list-scheduling event loop — and two event loops of the on-line
+simulator — the FCFS / EASY-backfilling dispatch of the ``fcfs`` and
+``fcfs-backfill`` policies, and the crash-and-restart execution of one
+batch of the faulty batch policy — live behind this package's dispatch
+layer.  Two interchangeable backends implement them:
 
 ``numpy``
     The incumbent pure-NumPy/Python implementations (always available,
@@ -21,8 +22,8 @@ and feasibility decisions are **bit-identical** across backends — the
 golden corpora and the differential suites hold with kernels on and off.
 The suite in ``tests/kernels/`` fuzzes every importable backend against
 the NumPy reference, against the seed oracles of
-``algorithms/reference.py`` and, for the FCFS loop, against the windowed
-dispatcher of ``simulator/windowed.py``.
+``algorithms/reference.py`` and, for the two event loops, against the
+windowed loops of ``simulator/windowed.py``.
 
 Selection: the ``REPRO_KERNELS`` environment variable (``numpy`` |
 ``cffi``; unset/``auto`` picks ``cffi`` when it imports, else NumPy).  An
@@ -45,6 +46,14 @@ import numpy as np
 
 from repro import obs
 from repro.kernels import _numpy as _numpy_backend
+from repro.kernels._numpy import (
+    LOG_BATCH_STARTED,
+    LOG_COMPLETED,
+    LOG_CRASHED,
+    LOG_MACHINE_DOWN,
+    LOG_MACHINE_UP,
+    LOG_STARTED,
+)
 
 __all__ = [
     "backend_name",
@@ -57,6 +66,14 @@ __all__ = [
     "dual_sweep_core",
     "graham_starts_core",
     "fcfs_starts_core",
+    "faulty_batch_core",
+    "same_faulty_batch",
+    "LOG_BATCH_STARTED",
+    "LOG_STARTED",
+    "LOG_COMPLETED",
+    "LOG_CRASHED",
+    "LOG_MACHINE_DOWN",
+    "LOG_MACHINE_UP",
 ]
 
 _KNOWN = ("numpy", "cffi")
@@ -68,8 +85,9 @@ _failed: dict[str, str] = {}
 def _smoke(mod) -> None:
     """Assert a backend reproduces the NumPy reference bit-for-bit on a
     tiny fixed corpus (one exercise per kernel, including a tie, an
-    infeasible option, a FINISH and an ARRIVAL sharing a window, and a
-    backfill)."""
+    infeasible option, a FINISH and an ARRIVAL sharing a window, a
+    backfill, and a crash, a deferral, a stale FINISH and a RESERVE
+    sharing a window with STARTs)."""
     allot = np.array([2, 2, 3, 1, 7], dtype=np.int64)
     weights = np.array([5.0, 4.0, 6.0, 0.25, 9.0], dtype=np.float64)
     ref = _numpy_backend.knapsack_select_core(allot, weights, 6)
@@ -124,6 +142,41 @@ def _smoke(mod) -> None:
     got_f = mod.fcfs_starts_core(fr, fi, fa, fd, 4, True, 1e-9)
     if any(a.tobytes() != b.tobytes() for a, b in zip(got_f, ref_f)):
         raise ImportError(f"{mod.name} fcfs mismatch: {got_f} != {ref_f}")
+
+    # Jobs 10 and 11 start at 0 on 2 of 4 processors; a machine down at 1
+    # evicts job 11 (same start, larger id), whose stale FINISH at 2.5
+    # still anchors a window.  At 2 the machine's return (0.5e-9 later)
+    # shares a window with the STARTs of jobs 12 and 13 and applies first:
+    # job 12 starts, job 13 no longer fits and is deferred.  The trace's
+    # events at 10 and 11 lie beyond the batch horizon.
+    batch = (
+        0.0,
+        np.array([10, 11, 12, 13], dtype=np.int64),
+        np.array([2, 2, 2, 1], dtype=np.int64),
+        np.array([0.0, 0.0, 2.0, 2.0], dtype=np.float64),
+        np.array([3.0, 2.5, 1.0, 1.0], dtype=np.float64),
+        np.array([1.0, 2.0 + 0.5e-9, 10.0, 11.0], dtype=np.float64),
+        np.array([0, 0, 1, 1], dtype=np.int64),
+        np.array([-1, 1, -1, 1], dtype=np.int64),
+        0,
+        4,
+        0.0,
+        1e-9,
+    )
+    ref_b = _numpy_backend.faulty_batch_core(*batch)
+    got_b = mod.faulty_batch_core(*batch)
+    if not same_faulty_batch(got_b, ref_b):
+        raise ImportError(f"{mod.name} faulty batch mismatch: {got_b} != {ref_b}")
+
+
+def same_faulty_batch(a, b) -> bool:
+    """Whether two :func:`faulty_batch_core` results are the same bits."""
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        if isinstance(x, np.ndarray)
+        else type(x) is type(y) and x == y
+        for x, y in zip(a, b)
+    )
 
 
 def load_backend(name: str):
@@ -262,4 +315,39 @@ def fcfs_starts_core(releases, task_ids, allotments, durations, m, backfill, eps
         state.count("kernel.fcfs_calls")
     return ACTIVE.fcfs_starts_core(
         releases, task_ids, allotments, durations, m, backfill, eps
+    )
+
+
+def faulty_batch_core(
+    now,
+    task_ids,
+    allotments,
+    offsets,
+    durations,
+    cap_times,
+    cap_machines,
+    cap_deltas,
+    cap_ptr,
+    capacity,
+    witnessed,
+    eps,
+):
+    """Dispatch: execution of one planned batch under machine failures."""
+    state = obs.ACTIVE
+    if state is not None:
+        state.count("kernel.dispatch." + ACTIVE.name)
+        state.count("kernel.faulty_batch_calls")
+    return ACTIVE.faulty_batch_core(
+        now,
+        task_ids,
+        allotments,
+        offsets,
+        durations,
+        cap_times,
+        cap_machines,
+        cap_deltas,
+        cap_ptr,
+        capacity,
+        witnessed,
+        eps,
     )

@@ -1,9 +1,10 @@
-"""cffi kernel backend: the DEMT inner loops and FCFS dispatch as compiled C.
+"""cffi kernel backend: the DEMT inner loops and on-line event loops as C.
 
 The C code replicates the NumPy backend's float-op order exactly — IEEE
 double adds and compares in the same sequence — so every DP value, every
-keep/choice bit, every Graham start time and every FCFS start is
-bit-identical to :mod:`._numpy` (the differential suite pins this).
+keep/choice bit, every Graham start time, every FCFS start and every
+faulty-batch event is bit-identical to :mod:`._numpy` (the differential
+suites pin this).
 Where the order could matter:
 
 * the max-weight knapsack walks capacities *descending* per item, which
@@ -29,6 +30,11 @@ Where the order could matter:
   enough processors, none of which depends on the order of equal ends.
   Its window cuts, EASY limits and ends are the same IEEE additions
   (``t0 + eps``, ``end + eps``, ``now + duration``).
+* the faulty batch loop orders its heap by (time, priority, id), which
+  is Python's tuple order on the NumPy backend's unique heap keys, and
+  sorts each window stably by (priority, time, id) like ``list.sort``;
+  starts, ends, the horizon and window cuts are the same IEEE additions
+  and maxima (``now + offset``, ``start + duration``, ``t0 + eps``).
 
 The extension module is compiled on first import into a cache directory
 (``REPRO_KERNELS_CACHE``, default ``<tempdir>/repro_kernels``) keyed by a
@@ -60,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import SchedulingError
+from repro.kernels._numpy import FaultyBatch, check_faulty_batch_inputs
 
 __all__ = [
     "name",
@@ -69,6 +76,7 @@ __all__ = [
     "dual_sweep_core",
     "graham_starts_core",
     "fcfs_starts_core",
+    "faulty_batch_core",
 ]
 
 name = "cffi"
@@ -94,6 +102,12 @@ int64_t repro_fcfs(const int64_t *tape, const double *tape_t,
                    const int64_t *allot, const double *dur, int64_t n,
                    int64_t m, int backfill, double eps, int64_t *rows,
                    double *starts, int64_t *depths);
+int64_t repro_faulty_batch(double now, const int64_t *jid, const int64_t *k,
+                           const double *offset, const double *dur, int64_t n,
+                           const double *cap_t, const int64_t *cap_mach,
+                           const int64_t *cap_delta, int64_t n_cap,
+                           double eps, int64_t *istate, double *fstate,
+                           int64_t *iout, double *fout);
 """
 
 _C_SOURCE = r"""
@@ -574,9 +588,10 @@ int64_t repro_fcfs(const int64_t *tape, const double *tape_t,
                 head++;
                 continue;
             }
-            if (backfill) {
+            if (backfill && free_p > 0) {
                 /* EASY: the head's reservation bound, then later jobs
-                   that fit now and finish by it. */
+                   that fit now and finish by it.  Every allotment is
+                   >= 1: nothing fits while no processor is free. */
                 int64_t avail = free_p, j = 0;
                 while (j < nrun) {
                     avail += r_k[j];
@@ -599,6 +614,8 @@ int64_t repro_fcfs(const int64_t *tape, const double *tape_t,
                         placed++;
                         waiting[i] = -1;
                         tombstones++;
+                        if (free_p == 0)
+                            break;
                     }
                 }
             }
@@ -611,6 +628,265 @@ done:
     free(r_end);
     free(r_k);
     free(waiting);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* Faulty batch execution: one planned batch under machine failures.   */
+/*                                                                     */
+/* The NumPy backend's loop statement for statement.  Events are       */
+/* (time, priority, id, plan row): a binary min-heap ordered by        */
+/* (time, priority, id) -- Python's tuple order on unique keys --      */
+/* drained in windows of width eps anchored at the earliest event,     */
+/* each window insertion-sorted (stable, like list.sort) by            */
+/* (priority, time, id).  The heap holds at most n STARTs, n FINISHes  */
+/* (a job starts at most once per batch) and n_cap - cap_ptr RESERVEs; */
+/* every window pops at least one event, so the depths and the log    */
+/* (the batch marker, <= 2 records per job, 1 per RESERVE) fit their  */
+/* sections.                                                           */
+/*                                                                     */
+/* istate: in [0] cap_ptr, [1] capacity; out as well, plus [2]         */
+/* started_any, [3..5] FINISH/RESERVE/START events popped, [6..10]     */
+/* counts of done, crashes, deferrals, windows and log records.        */
+/* fstate: in [0] witnessed; out [0] witnessed, [1] batch end.         */
+/* iout: done[n] | crash_id[n] | defer_id[n] | depths[W] |             */
+/*       log_kind[L] | log_ref[L];                                     */
+/* fout: done_start[n] | crash_t[n] | defer_t[n] | log_t[L];           */
+/* with W = 2n + n_cap - cap_ptr and L = W + 1.  Returns 0, -1 when    */
+/* the batch stalls, -3 on allocation failure.                         */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    double t;
+    int64_t prio;
+    int64_t ident;
+    int64_t pos;
+} fb_event;
+
+enum { FB_FINISH = 0, FB_RESERVE = 1, FB_START = 2 };
+enum { LOG_BATCH_STARTED = 0, LOG_STARTED, LOG_COMPLETED, LOG_CRASHED,
+       LOG_MACHINE_DOWN, LOG_MACHINE_UP };
+
+static int fb_heap_less(const fb_event *a, const fb_event *b)
+{
+    if (a->t != b->t)
+        return a->t < b->t;
+    if (a->prio != b->prio)
+        return a->prio < b->prio;
+    return a->ident < b->ident;
+}
+
+static int fb_window_less(const fb_event *a, const fb_event *b)
+{
+    if (a->prio != b->prio)
+        return a->prio < b->prio;
+    if (a->t != b->t)
+        return a->t < b->t;
+    return a->ident < b->ident;
+}
+
+static void fb_push(fb_event *h, int64_t *size, fb_event e)
+{
+    int64_t i = (*size)++;
+    while (i > 0) {
+        int64_t p = (i - 1) >> 1;
+        if (!fb_heap_less(&e, &h[p]))
+            break;
+        h[i] = h[p];
+        i = p;
+    }
+    h[i] = e;
+}
+
+static fb_event fb_pop(fb_event *h, int64_t *size)
+{
+    fb_event top = h[0];
+    int64_t last = --(*size);
+    fb_event e = h[last];
+    int64_t i = 0;
+    for (;;) {
+        int64_t l = 2 * i + 1;
+        if (l >= last)
+            break;
+        int64_t r = l + 1;
+        int64_t sm = (r < last && fb_heap_less(&h[r], &h[l])) ? r : l;
+        if (!fb_heap_less(&h[sm], &e))
+            break;
+        h[i] = h[sm];
+        i = sm;
+    }
+    if (last > 0)
+        h[i] = e;
+    return top;
+}
+
+int64_t repro_faulty_batch(double now, const int64_t *jid, const int64_t *k,
+                           const double *offset, const double *dur, int64_t n,
+                           const double *cap_t, const int64_t *cap_mach,
+                           const int64_t *cap_delta, int64_t n_cap,
+                           double eps, int64_t *istate, double *fstate,
+                           int64_t *iout, double *fout)
+{
+    int64_t cap_ptr = istate[0], capacity = istate[1];
+    int64_t W = 2 * n + (n_cap - cap_ptr), L = W + 1;
+    int64_t *done = iout, *crash_id = iout + n, *defer_id = iout + 2 * n;
+    int64_t *depths = iout + 3 * n, *log_kind = depths + W;
+    int64_t *log_ref = log_kind + L;
+    double *done_start = fout, *crash_t = fout + n, *defer_t = fout + 2 * n;
+    double *log_t = fout + 3 * n;
+    double witnessed = fstate[0];
+
+    int64_t status = 0;
+    fb_event *heap = malloc((size_t)(W > 0 ? W : 1) * sizeof(fb_event));
+    fb_event *win = malloc((size_t)(W > 0 ? W : 1) * sizeof(fb_event));
+    int8_t *state = calloc((size_t)(n > 0 ? n : 1), 1); /* 0 planned, 1 running, 2 resolved */
+    double *run_start = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    if (!heap || !win || !state || !run_start) {
+        status = -3;
+        goto done;
+    }
+
+    int64_t hsize = 0;
+    double horizon = now;
+    for (int64_t i = 0; i < n; i++) {
+        double s = now + offset[i];
+        fb_event e = {s, FB_START, jid[i], i};
+        fb_push(heap, &hsize, e);
+        double end = s + dur[i];
+        if (end > horizon)
+            horizon = end;
+    }
+    for (int64_t e = cap_ptr; e < n_cap && cap_t[e] <= horizon + eps; e++) {
+        fb_event ev = {cap_t[e], FB_RESERVE, e, -1};
+        fb_push(heap, &hsize, ev);
+    }
+
+    int64_t used = 0, unresolved = n, started_any = 0, nrun = 0;
+    int64_t counts[3] = {0, 0, 0};
+    int64_t nd = 0, nc = 0, ndf = 0, nw = 0, nl = 0;
+    double batch_end = now;
+    log_t[nl] = now;
+    log_kind[nl] = LOG_BATCH_STARTED;
+    log_ref[nl++] = -1;
+
+    while (unresolved > 0) {
+        if (hsize == 0) {
+            status = -1;
+            goto done;
+        }
+        int64_t d = 0;
+        win[d++] = fb_pop(heap, &hsize);
+        double cut = win[0].t + eps;
+        while (hsize > 0 && heap[0].t <= cut)
+            win[d++] = fb_pop(heap, &hsize);
+        for (int64_t a = 1; a < d; a++) { /* stable insertion sort */
+            fb_event e = win[a];
+            int64_t b = a;
+            while (b > 0 && fb_window_less(&e, &win[b - 1])) {
+                win[b] = win[b - 1];
+                b--;
+            }
+            win[b] = e;
+        }
+        depths[nw++] = d;
+        for (int64_t w = 0; w < d; w++) {
+            fb_event ev = win[w];
+            double t = ev.t;
+            int64_t i = ev.pos;
+            counts[ev.prio]++;
+            if (ev.prio == FB_RESERVE) {
+                if (ev.ident != cap_ptr)
+                    continue;
+                int64_t delta = cap_delta[cap_ptr];
+                capacity += delta;
+                if (t > witnessed)
+                    witnessed = t;
+                log_t[nl] = t;
+                log_kind[nl] = delta > 0 ? LOG_MACHINE_UP : LOG_MACHINE_DOWN;
+                log_ref[nl++] = cap_mach[cap_ptr];
+                cap_ptr++;
+                if (t > batch_end)
+                    batch_end = t;
+                while (used > capacity && nrun > 0) {
+                    /* LIFO victim: latest start, then largest id. */
+                    int64_t v = -1;
+                    for (int64_t r = 0; r < n; r++) {
+                        if (state[r] != 1)
+                            continue;
+                        if (v < 0 || run_start[r] > run_start[v] ||
+                            (run_start[r] == run_start[v] && jid[r] > jid[v]))
+                            v = r;
+                    }
+                    state[v] = 2;
+                    nrun--;
+                    used -= k[v];
+                    crash_t[nc] = t;
+                    crash_id[nc++] = jid[v];
+                    log_t[nl] = t;
+                    log_kind[nl] = LOG_CRASHED;
+                    log_ref[nl++] = jid[v];
+                    unresolved--;
+                }
+                continue;
+            }
+            if (ev.prio == FB_FINISH) {
+                if (state[i] != 1)
+                    continue; /* crashed after this FINISH was queued */
+                state[i] = 2;
+                nrun--;
+                used -= k[i];
+                done[nd] = i;
+                done_start[nd++] = run_start[i];
+                log_t[nl] = t;
+                log_kind[nl] = LOG_COMPLETED;
+                log_ref[nl++] = ev.ident;
+                unresolved--;
+                if (t > batch_end)
+                    batch_end = t;
+                continue;
+            }
+            if (k[i] <= capacity - used) {
+                state[i] = 1;
+                run_start[i] = t;
+                nrun++;
+                used += k[i];
+                fb_event fin = {t + dur[i], FB_FINISH, ev.ident, i};
+                fb_push(heap, &hsize, fin);
+                started_any = 1;
+                log_t[nl] = t;
+                log_kind[nl] = LOG_STARTED;
+                log_ref[nl++] = ev.ident;
+            } else {
+                state[i] = 2;
+                defer_t[ndf] = t;
+                defer_id[ndf++] = ev.ident;
+                unresolved--;
+                if (t > batch_end)
+                    batch_end = t;
+            }
+        }
+    }
+    if (batch_end > witnessed)
+        witnessed = batch_end;
+
+    istate[0] = cap_ptr;
+    istate[1] = capacity;
+    istate[2] = started_any;
+    istate[3] = counts[FB_FINISH];
+    istate[4] = counts[FB_RESERVE];
+    istate[5] = counts[FB_START];
+    istate[6] = nd;
+    istate[7] = nc;
+    istate[8] = ndf;
+    istate[9] = nw;
+    istate[10] = nl;
+    fstate[0] = witnessed;
+    fstate[1] = batch_end;
+
+done:
+    free(heap);
+    free(win);
+    free(state);
+    free(run_start);
     return status;
 }
 """
@@ -872,3 +1148,83 @@ def fcfs_starts_core(
     if windows == -3:  # pragma: no cover - allocation failure
         raise MemoryError("fcfs kernel allocation failed")
     return rows, starts, depths[:windows]
+
+
+def faulty_batch_core(
+    now: float,
+    task_ids,
+    allotments,
+    offsets,
+    durations,
+    cap_times,
+    cap_machines,
+    cap_deltas,
+    cap_ptr: int,
+    capacity: int,
+    witnessed: float,
+    eps: float,
+) -> FaultyBatch:
+    # The C loop reads every plan column n long and every trace column
+    # from cap_ptr on; its heap, depth and log sections are sized from n
+    # and the trace events left.
+    n, n_cap = check_faulty_batch_inputs(
+        task_ids, allotments, offsets, durations, cap_times, cap_machines, cap_deltas, cap_ptr
+    )
+    jid = _i64(task_ids)
+    k = _i64(allotments)
+    off = _f64(offsets)
+    dur = _f64(durations)
+    ct = _f64(cap_times)
+    cm = _i64(cap_machines)
+    cd = _i64(cap_deltas)
+    w = 2 * n + n_cap - int(cap_ptr)
+    istate = np.zeros(11, dtype=np.int64)
+    istate[0] = cap_ptr
+    istate[1] = capacity
+    fstate = np.array([witnessed, 0.0], dtype=np.float64)
+    iout = np.empty(3 * n + 3 * w + 2, dtype=np.int64)
+    fout = np.empty(3 * n + w + 1, dtype=np.float64)
+    status = _lib.repro_faulty_batch(
+        float(now),
+        _ptr("int64_t *", jid),
+        _ptr("int64_t *", k),
+        _ptr("double *", off),
+        _ptr("double *", dur),
+        n,
+        _ptr("double *", ct),
+        _ptr("int64_t *", cm),
+        _ptr("int64_t *", cd),
+        n_cap,
+        float(eps),
+        _ptr("int64_t *", istate),
+        _ptr("double *", fstate),
+        _ptr("int64_t *", iout),
+        _ptr("double *", fout),
+    )
+    if status == -1:  # pragma: no cover - every start is queued
+        raise SchedulingError("faulty batch simulation stalled")
+    if status == -3:  # pragma: no cover - allocation failure
+        raise MemoryError("faulty batch kernel allocation failed")
+    (cap_ptr, capacity, started_any, n_finish, n_reserve, n_start,
+     nd, nc, ndf, nw, nl) = istate.tolist()
+    depths = 3 * n
+    log_kinds = depths + w
+    log_refs = log_kinds + w + 1
+    return FaultyBatch(
+        iout[:nd],
+        fout[:nd],
+        fout[n : n + nc],
+        iout[n : n + nc],
+        fout[2 * n : 2 * n + ndf],
+        iout[2 * n : 2 * n + ndf],
+        capacity,
+        cap_ptr,
+        float(fstate[0]),
+        float(fstate[1]),
+        bool(started_any),
+        iout[depths : depths + nw],
+        (n_finish, n_reserve, n_start),
+        fout[3 * n : 3 * n + nl],
+        iout[log_kinds : log_kinds + nl],
+        iout[log_refs : log_refs + nl],
+    )

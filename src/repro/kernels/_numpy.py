@@ -4,13 +4,15 @@ These are the incumbent implementations of the DEMT inner loops, moved
 verbatim from ``algorithms/knapsack.py``, ``core/profile.py`` and
 ``core/allotment.py`` (same float operations in the same order, so every
 schedule and every feasibility decision is bit-identical to the
-pre-kernel library), and the on-line FCFS / EASY dispatch loop of
-``simulator/online.py``, on plain Python scalars in the form the C
-backend mirrors (same windows, comparisons and float additions as the
-spine-driven loop it replaced).  The compiled backend (:mod:`._cffi`)
-mirrors this float-op order exactly; the differential suite in
-``tests/kernels/`` pins the backends against each other, against
-``algorithms/reference.py`` and against ``simulator/windowed.py``.
+pre-kernel library), and the two event loops of the on-line simulator —
+the FCFS / EASY dispatch loop of ``simulator/online.py`` and the
+crash-and-restart execution of one batch of ``faults/failures.py`` — on
+plain Python scalars in the form the C backend mirrors (same windows,
+comparisons and float additions as the spine-driven loops they
+replaced).  The compiled backend (:mod:`._cffi`) mirrors this float-op
+order exactly; the differential suites in ``tests/kernels/`` pin the
+backends against each other, against ``algorithms/reference.py`` and
+against ``simulator/windowed.py``.
 
 The one intentional change over the pre-kernel code is the knapsack
 ``keep`` matrix: the old code allocated a fresh ``n × (m+1)`` bool matrix
@@ -25,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right, insort
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,9 @@ __all__ = [
     "dual_sweep_core",
     "graham_starts_core",
     "fcfs_starts_core",
+    "faulty_batch_core",
+    "FaultyBatch",
+    "check_faulty_batch_inputs",
 ]
 
 name = "numpy"
@@ -363,10 +369,11 @@ def fcfs_starts_core(
                 starts.append(now)
                 head += 1
                 continue
-            if backfill:
+            if backfill and free:
                 # EASY: the head's reservation is the earliest end at which
                 # k processors are free; later jobs may start now only if
-                # they finish by it.
+                # they finish by it.  Every allotment is >= 1, so there is
+                # nothing to scan while no processor is free.
                 avail = free
                 for end, held in running:
                     avail += held
@@ -384,6 +391,8 @@ def fcfs_starts_core(
                         starts.append(now)
                         waiting[i] = -1
                         tombstones += 1
+                        if not free:
+                            break
             break
 
     if len(rows) != n:  # pragma: no cover - every start enqueues a completion
@@ -392,4 +401,238 @@ def fcfs_starts_core(
         np.array(rows, dtype=np.int64),
         np.array(starts, dtype=np.float64),
         np.array(depths, dtype=np.int64),
+    )
+
+
+#: Codes of the log records :func:`faulty_batch_core` returns
+#: (``log_kinds``); ``log_refs`` holds the job id, the machine id for the
+#: two machine records, and -1 for the batch marker.
+LOG_BATCH_STARTED, LOG_STARTED, LOG_COMPLETED, LOG_CRASHED = 0, 1, 2, 3
+LOG_MACHINE_DOWN, LOG_MACHINE_UP = 4, 5
+
+#: Window priorities of the faulty batch loop: FINISH frees capacity,
+#: then RESERVE capacity changes apply, then STARTs allocate.
+_FINISH, _RESERVE, _START = 0, 1, 2
+
+
+class FaultyBatch(NamedTuple):
+    """One executed batch, as :func:`faulty_batch_core` returns it."""
+
+    #: Plan rows that completed, in completion order, and their starts.
+    done: np.ndarray
+    done_starts: np.ndarray
+    #: ``(time, job id)`` pushes back to the pending queue, in push order:
+    #: jobs evicted by a capacity drop, and planned starts that did not fit.
+    crash_times: np.ndarray
+    crash_ids: np.ndarray
+    defer_times: np.ndarray
+    defer_ids: np.ndarray
+    #: Capacity and capacity-trace cursor after the batch.
+    capacity: int
+    cap_ptr: int
+    #: Latest instant witnessed (the batch end included) and the batch end.
+    witnessed: float
+    batch_end: float
+    started_any: bool
+    #: Events per window, and FINISH, RESERVE and START events popped.
+    depths: np.ndarray
+    transitions: tuple[int, int, int]
+    #: The batch's log records, in log order.
+    log_times: np.ndarray
+    log_kinds: np.ndarray
+    log_refs: np.ndarray
+
+
+def check_faulty_batch_inputs(
+    task_ids, allotments, offsets, durations, cap_times, cap_machines, cap_deltas, cap_ptr
+) -> tuple[int, int]:
+    """``(n, n_cap)`` of one :func:`faulty_batch_core` call, or
+    :class:`ValueError` for inputs that could send the loop outside its
+    buffers: plan or trace columns that are not 1-D or not of equal
+    lengths, or a trace cursor outside ``[0, n_cap]``."""
+    plan = {np.shape(c) for c in (task_ids, allotments, offsets, durations)}
+    if len(plan) != 1 or len(next(iter(plan))) != 1:
+        raise ValueError("task_ids, allotments, offsets and durations must be parallel 1-D")
+    trace = {np.shape(c) for c in (cap_times, cap_machines, cap_deltas)}
+    if len(trace) != 1 or len(next(iter(trace))) != 1:
+        raise ValueError("cap_times, cap_machines and cap_deltas must be parallel 1-D")
+    n, n_cap = len(task_ids), len(cap_times)
+    if not 0 <= cap_ptr <= n_cap:
+        raise ValueError(f"cap_ptr must lie in [0, {n_cap}], got {cap_ptr}")
+    return n, n_cap
+
+
+def _window_key(event: tuple) -> tuple:
+    return event[1], event[0], event[2]
+
+
+def faulty_batch_core(
+    now: float,
+    task_ids,
+    allotments,
+    offsets,
+    durations,
+    cap_times,
+    cap_machines,
+    cap_deltas,
+    cap_ptr: int,
+    capacity: int,
+    witnessed: float,
+    eps: float,
+) -> FaultyBatch:
+    """Execute one planned batch under machine failures (see
+    ``faults/failures.FaultyBatchPolicy``).
+
+    Plan row ``i`` (job ``task_ids[i]``) STARTs at ``now + offsets[i]`` on
+    ``allotments[i]`` processors and FINISHes ``durations[i]`` (its true
+    duration) later.  The capacity changes ``cap_ptr`` onwards of the
+    sorted failure trace ``(cap_times, cap_machines, cap_deltas)``, up to
+    the batch horizon, are RESERVE events.  Events are drained in windows
+    of width ``eps`` anchored at their earliest event, each sorted by
+    (priority, time, id): FINISH, then RESERVE, then START.  A START that
+    does not fit the current capacity is deferred; a capacity drop evicts
+    running jobs LIFO (latest start, then largest id), whose FINISH then
+    stays queued as a stale event that still anchors a window.  Every
+    popped window is processed to its end, also after the batch's last
+    job resolved.
+    """
+    n, n_cap = check_faulty_batch_inputs(
+        task_ids, allotments, offsets, durations, cap_times, cap_machines, cap_deltas, cap_ptr
+    )
+    now = float(now)
+    jids = np.asarray(task_ids).tolist()
+    ks = np.asarray(allotments).tolist()
+    offs = np.asarray(offsets, dtype=np.float64).tolist()
+    durs = np.asarray(durations, dtype=np.float64).tolist()
+    cap_ptr = int(cap_ptr)
+    capacity = int(capacity)
+    witnessed = float(witnessed)
+
+    # Heap entries are (time, priority, id, plan row); the first three are
+    # unique, so the plan row never decides an order.
+    heap: list[tuple] = []
+    horizon = now
+    for i in range(n):
+        s = now + offs[i]
+        heap.append((s, _START, jids[i], i))
+        end = s + durs[i]
+        if end > horizon:
+            horizon = end
+    e = cap_ptr
+    while e < n_cap and float(cap_times[e]) <= horizon + eps:
+        heap.append((float(cap_times[e]), _RESERVE, e, -1))
+        e += 1
+    heapq.heapify(heap)
+
+    state = [0] * n  # 0 planned, 1 running, 2 resolved
+    run_start = [0.0] * n
+    running: dict[int, None] = {}  # plan rows of the running jobs
+    used = 0
+    unresolved = n
+    started_any = False
+    batch_end = now
+    done: list[int] = []
+    done_starts: list[float] = []
+    crash_t: list[float] = []
+    crash_ids: list[int] = []
+    defer_t: list[float] = []
+    defer_ids: list[int] = []
+    depths: list[int] = []
+    counts = [0, 0, 0]
+    log_t = [now]
+    log_k = [LOG_BATCH_STARTED]
+    log_r = [-1]
+
+    while unresolved > 0:
+        if not heap:  # pragma: no cover - every start is queued
+            raise SchedulingError("faulty batch simulation stalled")
+        window = [heapq.heappop(heap)]
+        cut = window[0][0] + eps
+        while heap and heap[0][0] <= cut:
+            window.append(heapq.heappop(heap))
+        if len(window) > 1:
+            window.sort(key=_window_key)
+        depths.append(len(window))
+        for t, prio, ident, i in window:
+            counts[prio] += 1
+            if prio == _RESERVE:
+                if ident != cap_ptr:  # pragma: no cover - applied in order
+                    continue
+                delta = int(cap_deltas[cap_ptr])
+                capacity += delta
+                if t > witnessed:
+                    witnessed = t
+                log_t.append(t)
+                log_k.append(LOG_MACHINE_UP if delta > 0 else LOG_MACHINE_DOWN)
+                log_r.append(int(cap_machines[cap_ptr]))
+                cap_ptr += 1
+                if t > batch_end:
+                    batch_end = t
+                while used > capacity and running:
+                    victim = max(running, key=lambda r: (run_start[r], jids[r]))
+                    del running[victim]
+                    state[victim] = 2
+                    used -= ks[victim]
+                    crash_t.append(t)
+                    crash_ids.append(jids[victim])
+                    log_t.append(t)
+                    log_k.append(LOG_CRASHED)
+                    log_r.append(jids[victim])
+                    unresolved -= 1
+                continue
+            if prio == _FINISH:
+                if state[i] != 1:
+                    continue  # crashed after this FINISH was queued
+                state[i] = 2
+                del running[i]
+                used -= ks[i]
+                done.append(i)
+                done_starts.append(run_start[i])
+                log_t.append(t)
+                log_k.append(LOG_COMPLETED)
+                log_r.append(ident)
+                unresolved -= 1
+                if t > batch_end:
+                    batch_end = t
+                continue
+            # A planned start: allocate if it fits the *current* capacity,
+            # else defer the job to a later batch.
+            k = ks[i]
+            if k <= capacity - used:
+                state[i] = 1
+                run_start[i] = t
+                running[i] = None
+                used += k
+                heapq.heappush(heap, (t + durs[i], _FINISH, ident, i))
+                started_any = True
+                log_t.append(t)
+                log_k.append(LOG_STARTED)
+                log_r.append(ident)
+            else:
+                state[i] = 2
+                defer_t.append(t)
+                defer_ids.append(ident)
+                unresolved -= 1
+                if t > batch_end:
+                    batch_end = t
+
+    if batch_end > witnessed:
+        witnessed = batch_end
+    return FaultyBatch(
+        np.array(done, dtype=np.int64),
+        np.array(done_starts, dtype=np.float64),
+        np.array(crash_t, dtype=np.float64),
+        np.array(crash_ids, dtype=np.int64),
+        np.array(defer_t, dtype=np.float64),
+        np.array(defer_ids, dtype=np.int64),
+        capacity,
+        cap_ptr,
+        witnessed,
+        batch_end,
+        started_any,
+        np.array(depths, dtype=np.int64),
+        tuple(counts),
+        np.array(log_t, dtype=np.float64),
+        np.array(log_k, dtype=np.int64),
+        np.array(log_r, dtype=np.int64),
     )

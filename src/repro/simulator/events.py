@@ -19,13 +19,14 @@ Three pieces live here:
   :data:`~repro.core.validation.TIME_EPS`, each window sorted by
   ``(priority, time, id)`` so that ties resolve deterministically and
   completions free resources before simultaneous starts allocate them.
-* :class:`EventSpine` — the incremental event spine the batch policies,
-  the faulty batch loop and the simulator engine run on: an
-  :class:`EventWindowQueue` with typed :class:`Transition` priorities, a
-  per-job running index, an incremental free-capacity count (``used`` /
-  ``free``) and an incremental busy-time integral, all O(log n) per
-  event.  The FCFS dispatchers run the same windowing in one kernel
-  (:func:`repro.kernels.fcfs_starts_core`).
+* :class:`EventSpine` — the incremental event spine the batch policies
+  and the simulator engine run on: an :class:`EventWindowQueue` with
+  typed :class:`Transition` priorities, a per-job running index, an
+  incremental free-capacity count (``used`` / ``free``) and an
+  incremental busy-time integral, all O(log n) per event.  The FCFS
+  dispatchers and the faulty batch loop run the same windowing in one
+  kernel each (:func:`repro.kernels.fcfs_starts_core`,
+  :func:`repro.kernels.faulty_batch_core`).
 
 Boundary semantics (pinned by the test suite, on both sides of the
 epsilon):
@@ -242,11 +243,7 @@ class EventSpine(EventWindowQueue):
 
     * the **running set** — ``start(job, k, now, end)`` allocates ``k``
       processors and schedules the FINISH transition; ``finish(job, t)``
-      resolves it (returning ``None`` for a stale FINISH whose job was
-      cancelled — stale heap entries still surface and anchor windows,
-      liveness is decided here); ``cancel(job)`` / ``evict_latest()``
-      release capacity without crediting busy time (crash-and-restart
-      semantics: the work is lost);
+      resolves it;
     * the **free-capacity count** — ``used`` / ``free`` are O(1);
     * the **busy-time integral** — ``busy_time`` accumulates
       ``k · (finish − start)`` per completed run, so utilization needs
@@ -256,10 +253,8 @@ class EventSpine(EventWindowQueue):
       shared ``t + TIME_EPS`` batch-cut windowing, so batch policies and
       the heap agree on what "has arrived" means.
 
-    Every operation is O(log n) amortised (``evict_latest`` is O(r) in
-    the running-set size r ≤ m).  ``m`` is the capacity the ``free``
-    property reports against; the fault plane lowers/raises it as
-    machines fail and recover.
+    Every operation is O(log n) amortised.  ``m`` is the capacity the
+    ``free`` property reports against.
     """
 
     __slots__ = (
@@ -279,8 +274,8 @@ class EventSpine(EventWindowQueue):
         self.m = int(m)
         self._used = 0
         self._busy = 0.0
-        #: job -> (start, allotment, scheduled end)
-        self._running: dict[int, tuple[float, int, float]] = {}
+        #: job -> (start, allotment)
+        self._running: dict[int, tuple[float, int]] = {}
         self._rel = None
         self._arr_ids = None
         self._arr_head = 0
@@ -332,51 +327,18 @@ class EventSpine(EventWindowQueue):
 
     def start(self, job: int, k: int, now: float, end: float) -> None:
         """Allocate ``k`` processors to ``job`` and schedule its FINISH."""
-        self._running[job] = (now, k, end)
+        self._running[job] = (now, k)
         self._used += k
         self.push(end, int(Transition.FINISH), job)
 
-    def finish(self, job: int, time: float) -> "tuple[float, int] | None":
-        """Resolve a popped FINISH transition.
-
-        Returns ``(start, allotment)`` and releases the capacity, or
-        ``None`` if this FINISH is stale — the job was cancelled (or
-        restarted with a different end) after it was scheduled.  Stale
-        entries are *expected*: cancellation tombstones the heap entry
-        rather than deleting it, so windows still anchor exactly where
-        the pre-spine loops anchored them.
-        """
-        entry = self._running.get(job)
-        if entry is None or entry[2] != time:
-            return None
-        start, k, _end = entry
-        del self._running[job]
+    def finish(self, job: int, time: float) -> tuple[float, int]:
+        """Resolve a popped FINISH transition: release the job's
+        processors, credit its busy time and return ``(start,
+        allotment)``."""
+        start, k = self._running.pop(job)
         self._used -= k
         self._busy += k * (time - start)
         return start, k
-
-    def cancel(self, job: int) -> "tuple[float, int] | None":
-        """Evict ``job`` (no busy-time credit — its work is lost).
-
-        Returns ``(start, allotment)``, or ``None`` if the job is not
-        running.  The pending FINISH heap entry becomes a tombstone that
-        :meth:`finish` later resolves to ``None``.
-        """
-        entry = self._running.pop(job, None)
-        if entry is None:
-            return None
-        start, k, _end = entry
-        self._used -= k
-        return start, k
-
-    def evict_latest(self) -> tuple[int, float, int]:
-        """Cancel and return the LIFO victim ``(job, start, allotment)``:
-        the running job with the latest start, largest id breaking ties —
-        the crash-and-restart eviction order of the fault plane."""
-        running = self._running
-        victim = max(running, key=lambda j: (running[j][0], j))
-        start, k = self.cancel(victim)
-        return victim, start, k
 
     # -- arrival tape --------------------------------------------------
 

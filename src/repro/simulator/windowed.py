@@ -6,14 +6,17 @@ the FCFS dispatcher (which re-sorted its running set per EASY
 reservation query) and of the faulty batch loop (a per-batch untyped
 queue and hand-rolled running dict) moved here *verbatim*.  They are
 intentionally unoptimised snapshots and the only second implementation
-of these two loops: ``tests/simulator/test_spine.py`` runs both paths on
-random instances, fault-injected runs included, and requires
-bit-identical schedules, and ``tests/kernels/test_kernel_backends.py``
-runs every backend of the FCFS dispatch kernel
-(:func:`repro.kernels.fcfs_starts_core`) against the dispatcher here on
-tie-heavy inputs, so any behavioural drift in either port is caught
-against code that provably produced the golden corpora.  The
-batch policies need no copy here: they are pinned against the seed
+of these two loops, which now run as kernels
+(:func:`repro.kernels.fcfs_starts_core`,
+:func:`repro.kernels.faulty_batch_core`):
+``tests/simulator/test_spine.py`` runs both paths on random instances,
+fault-injected runs included, and requires bit-identical schedules, and
+``tests/kernels/test_kernel_backends.py`` and
+``tests/kernels/test_faulty_batch.py`` run every backend of the two
+kernels against the loops here on tie-heavy inputs, so any behavioural
+drift in either port is caught against code that provably produced the
+golden corpora.  The batch policies need no copy here: they are pinned
+against the seed
 :class:`~repro.simulator.reference.ReferenceBatchScheduler`.
 
 Do not "fix" or optimise this module; it exists to stay behind.

@@ -98,6 +98,23 @@ def _fcfs_call(mod):
     return lambda: mod.fcfs_starts_core(releases, ids, allot, dur, 16, True, 1e-9)
 
 
+def _faulty_batch_call(mod):
+    # One 300k-job batch on 16 processors, planned back to back with
+    # overlaps (so many starts are deferred), under a few capacity drops.
+    rng = np.random.default_rng(23)
+    n = 300_000
+    ids = rng.permutation(n).astype(np.int64)
+    allot = rng.integers(1, 8, size=n).astype(np.int64)
+    offsets = np.cumsum(rng.exponential(0.3, size=n))
+    dur = rng.uniform(0.5, 5.0, size=n)
+    cap_t = np.sort(rng.uniform(0.0, offsets[-1], size=40))
+    cap_m = np.arange(40, dtype=np.int64) % 16
+    cap_d = np.where(np.arange(40) % 2 == 0, -1, 1).astype(np.int64)
+    return lambda: mod.faulty_batch_core(
+        0.0, ids, allot, offsets, dur, cap_t, cap_m, cap_d, 0, 16, 0.0, 1e-9
+    )
+
+
 _KERNEL_CALLS = {
     "min_work_value": _knapsack_min_work_call,
     "min_work": _knapsack_min_work_reconstruct_call,
@@ -105,6 +122,7 @@ _KERNEL_CALLS = {
     "knapsack_select": _knapsack_select_call,
     "graham_starts": _graham_call,
     "fcfs_starts": _fcfs_call,
+    "faulty_batch": _faulty_batch_call,
 }
 
 

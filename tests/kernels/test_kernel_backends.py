@@ -12,6 +12,7 @@ end-to-end: DEMT schedules are identical whichever backend is active.
 from __future__ import annotations
 
 import functools
+import hashlib
 import heapq
 import io
 import os
@@ -351,8 +352,8 @@ def test_compiled_fcfs_checks_its_buffers(mod):
 
 
 @functools.lru_cache(maxsize=None)
-def _archive_columns(load: float):
-    trace = load_trace(io.StringIO(synthesize_swf(20_000, 64, seed=19, load=load)))
+def _archive_columns(load: float, seed: int = 19):
+    trace = load_trace(io.StringIO(synthesize_swf(20_000, 64, seed=seed, load=load)))
     return _fcfs_columns(trace_instance(trace, 64, "rigid", online=True))
 
 
@@ -364,6 +365,27 @@ def test_fcfs_archive_backends_identical(load, backfill):
     scans walk thousands of tombstoned entries and compaction runs many
     times.  Every backend returns the reference's bits."""
     _assert_fcfs_backends_agree(_archive_columns(load), backfill)
+
+
+#: sha256 over the kernel's (rows, starts, depths) bytes on the archive
+#: ``synthesize_swf(20000, 64, seed=7, load=1.2)`` replayed rigid on
+#: m = 64, recorded before the EASY scan learned to skip (or leave) the
+#: waiting list while no processor is free.
+_OVERLOAD_DIGESTS = {
+    False: "7a41c1094f2d897b79d0935ec9565852b3af044fb224e20ad4d442af5b8a3012",
+    True: "35adac0c9f5366188fdb03f115e04d5830ba8e06233c16cf2e2f1783076e294e",
+}
+
+
+@pytest.mark.parametrize("backfill", [False, True])
+@pytest.mark.parametrize("mod", (NUMPY, *OTHERS), ids=lambda mod: mod.name)
+def test_fcfs_overloaded_archive_digest(mod, backfill):
+    """The queue grows to thousands of jobs and most blocked dispatches
+    find no processor free: every backend still returns the recorded
+    bits."""
+    out = mod.fcfs_starts_core(*_archive_columns(1.2, seed=7), backfill, TIME_EPS)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
+    assert digest == _OVERLOAD_DIGESTS[backfill]
 
 
 # --------------------------------------------------------------------- #

@@ -10,9 +10,9 @@ Four invariants are pinned here:
 * robustness cells record **real** wall-clock seconds (PR 7 pinned them
   to 0.0) without breaking serial-vs-process record identity, because
   record equality excludes ``seconds``.
-* the FCFS policies report the **same** event-spine tally
-  (``spine.transitions.*``, ``spine.window_depth``) on every kernel
-  backend as the spine-driven loop the dispatch kernel replaced.
+* the FCFS policies and the faulty batch loop report the **same**
+  event-spine tally (``spine.transitions.*``, ``spine.window_depth``) on
+  every kernel backend as the spine-driven loops their kernels replaced.
 """
 
 from __future__ import annotations
@@ -187,6 +187,136 @@ class TestFcfsSpineTally:
         assert self._traced(backend, lambda: get_policy(mode).run(inst)) == (
             FCFS_TIE_HEAVY[mode]
         )
+
+
+#: What the spine-driven faulty batch loop before its kernel recorded on
+#: an obs-enabled run of each ``faulty_goldens.json`` cell, and of the
+#: second cell's instance with no noise and no failures: the
+#: ``spine.*``, ``online.*`` and ``faults.*`` counters, the window-depth
+#: histogram and the batch-size histogram.  Stale FINISHes of crashed
+#: jobs are counted when a window pops them.
+FAULTY_TALLY = {
+    "mixed-n20-exp:10:4@1": (
+        {"spine.transitions.finish": 23, "spine.transitions.reserve": 38,
+         "spine.transitions.start": 131, "online.batches": 106,
+         "faults.crashes": 15, "faults.deferrals": 96},
+        {"count": 169, "total": 192, "min": 1, "max": 5,
+         "buckets": {1: 152, 2: 14, 4: 2, 8: 1}},
+        {"count": 106, "total": 131, "min": 1, "max": 20,
+         "buckets": {1: 103, 2: 1, 8: 1, 32: 1}},
+    ),
+    "mixed-n30-exp:5:3@2": (
+        {"spine.transitions.finish": 42, "spine.transitions.reserve": 946,
+         "spine.transitions.start": 192, "online.batches": 56,
+         "faults.crashes": 28, "faults.deferrals": 134},
+        {"count": 1161, "total": 1180, "min": 1, "max": 5,
+         "buckets": {1: 1150, 2: 7, 4: 3, 8: 1}},
+        {"count": 56, "total": 192, "min": 1, "max": 22,
+         "buckets": {1: 5, 2: 4, 4: 43, 8: 1, 16: 2, 32: 1}},
+    ),
+    "cirne-n25-exp:15:5@3": (
+        {"spine.transitions.finish": 26, "spine.transitions.reserve": 28,
+         "spine.transitions.start": 35, "online.batches": 9,
+         "faults.crashes": 2, "faults.deferrals": 8},
+        {"count": 77, "total": 89, "min": 1, "max": 3,
+         "buckets": {1: 68, 2: 6, 4: 3}},
+        {"count": 9, "total": 35, "min": 1, "max": 8,
+         "buckets": {1: 2, 2: 2, 4: 2, 8: 3}},
+    ),
+    "highly_parallel-n16-exp:8:2@4": (
+        {"spine.transitions.finish": 19, "spine.transitions.reserve": 101,
+         "spine.transitions.start": 59, "online.batches": 26,
+         "faults.crashes": 8, "faults.deferrals": 35},
+        {"count": 170, "total": 179, "min": 1, "max": 3,
+         "buckets": {1: 162, 2: 7, 4: 1}},
+        {"count": 26, "total": 59, "min": 1, "max": 9,
+         "buckets": {1: 12, 2: 7, 4: 4, 8: 2, 16: 1}},
+    ),
+    "weakly_parallel-n24-exp:6:2@5": (
+        {"spine.transitions.finish": 31, "spine.transitions.reserve": 216,
+         "spine.transitions.start": 664, "online.batches": 628,
+         "faults.crashes": 109, "faults.deferrals": 531},
+        {"count": 878, "total": 911, "min": 1, "max": 7,
+         "buckets": {1: 859, 2: 14, 4: 3, 8: 2}},
+        {"count": 628, "total": 664, "min": 1, "max": 21,
+         "buckets": {1: 624, 8: 2, 16: 1, 32: 1}},
+    ),
+    "nominal": (
+        {"spine.transitions.finish": 30, "spine.transitions.start": 30,
+         "online.batches": 7},
+        {"count": 37, "total": 60, "min": 1, "max": 5,
+         "buckets": {1: 22, 2: 11, 4: 3, 8: 1}},
+        {"count": 7, "total": 30, "min": 1, "max": 14,
+         "buckets": {1: 4, 8: 2, 16: 1}},
+    ),
+}
+
+
+def _faulty_runs():
+    """``{name: zero-argument run}`` for the cells of FAULTY_TALLY."""
+    import json
+
+    from repro.core.instance import Instance
+    from repro.faults.failures import FaultyBatchPolicy, generate_failures
+    from repro.utils.rng import derive_rng
+
+    goldens = json.loads(
+        (Path(__file__).resolve().parents[1] / "data" / "faulty_goldens.json").read_text()
+    )
+
+    def instance(cell):
+        rng = derive_rng(
+            goldens["_meta"]["seed"], "faulty", cell["kind"], cell["n"],
+            int(cell["spread"] * 10),
+        )
+        base = generate_workload(cell["kind"], n=cell["n"], m=cell["m"], seed=rng)
+        if cell["spread"] == 0:
+            return base
+        releases = rng.exponential(cell["spread"], size=cell["n"]).cumsum()
+        tasks = [t.with_release(float(r)) for t, r in zip(base.tasks, releases)]
+        return Instance(tasks, base.m)
+
+    runs = {}
+    for cell in goldens["cells"]:
+        inst = instance(cell)
+        trace = generate_failures(cell["m"], cell["horizon"], cell["failures"])
+        policy = FaultyBatchPolicy(noise=cell["noise"], failures=trace)
+        runs[f"{cell['kind']}-n{cell['n']}-{cell['failures']}"] = (
+            lambda policy=policy, inst=inst: policy.run(inst)
+        )
+    nominal = instance(goldens["cells"][1])
+    runs["nominal"] = lambda: FaultyBatchPolicy().run(nominal)
+    return runs
+
+
+@pytest.mark.parametrize("backend", kernels.available_backend_names())
+class TestFaultySpineTally:
+    """The faulty batch loop reports the same tally as before its batch
+    execution became a kernel, on every backend, plus one kernel call per
+    batch."""
+
+    @pytest.mark.parametrize("cell", sorted(FAULTY_TALLY))
+    def test_cell(self, backend, cell):
+        previous = kernels.set_backend(backend)
+        try:
+            obs.enable(fresh=True)
+            try:
+                _faulty_runs()[cell]()
+            finally:
+                state = obs.disable()
+        finally:
+            kernels.set_backend(previous)
+        counters = {
+            k: v for k, v in state.counters.items()
+            if k.startswith(("spine.", "online.", "faults."))
+        }
+        assert (
+            counters,
+            state.hists["spine.window_depth"],
+            state.hists["online.batch_size"],
+        ) == FAULTY_TALLY[cell]
+        batches = state.counters["online.batches"]
+        assert state.counters["kernel.faulty_batch_calls"] == batches
 
 
 def _run_campaign(backend):

@@ -265,39 +265,6 @@ class TestEventSpine:
         assert s.used == 0 and s.busy_time == pytest.approx(30.0)
         assert 1 not in s
 
-    def test_cancel_leaves_stale_finish_and_credits_no_busy_time(self):
-        s = self._spine()
-        s.start(1, 2, 0.0, 10.0)
-        assert s.cancel(1) == (0.0, 2)
-        assert s.used == 0 and s.busy_time == 0.0
-        # The FINISH tombstone still surfaces (it anchors windows)...
-        assert s.pop_window() == [(10.0, 0, 1)]
-        # ...but resolves to nothing.
-        assert s.finish(1, 10.0) is None
-
-    def test_cancel_unknown_job_is_none(self):
-        assert self._spine().cancel(99) is None
-
-    def test_restarted_job_ignores_stale_finish(self):
-        s = self._spine()
-        s.start(1, 2, 0.0, 10.0)
-        s.cancel(1)
-        s.start(1, 2, 5.0, 15.0)  # restarted from scratch
-        assert s.finish(1, 10.0) is None  # the first attempt's FINISH
-        assert s.used == 2
-        assert s.finish(1, 15.0) == (5.0, 2)
-        assert s.busy_time == pytest.approx(20.0)
-
-    def test_evict_latest_is_lifo_largest_id(self):
-        s = self._spine()
-        s.start(1, 2, 0.0, 10.0)
-        s.start(5, 2, 3.0, 13.0)
-        s.start(4, 2, 3.0, 13.0)
-        assert s.evict_latest() == (5, 3.0, 2)  # latest start, largest id
-        assert s.evict_latest() == (4, 3.0, 2)
-        assert s.evict_latest() == (1, 0.0, 2)
-        assert s.used == 0
-
     def test_capacity_follows_m(self):
         s = self._spine(m=4)
         s.start(1, 3, 0.0, 10.0)

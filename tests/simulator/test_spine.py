@@ -9,12 +9,13 @@ the faulty batch loop onto the incremental
   :class:`~repro.simulator.reference.ReferenceBatchScheduler` around the
   same engine, bit for bit (the PR-5 golden corpus keeps covering this;
   here it is fuzzed and run across the policy registry).
-* **Windowed oracle** — the FCFS dispatchers (one kernel call since,
-  fuzzed per backend on tie-heavy inputs in
-  ``tests/kernels/test_kernel_backends.py``) and the faulty loop match
-  their frozen pre-spine implementations in
-  :mod:`repro.simulator.windowed`, on random instances (Hypothesis) and
-  across the policy registry grid, including fault-injected runs.
+* **Windowed oracle** — the FCFS dispatchers and the faulty loop (one
+  kernel call per run and per batch since, fuzzed per backend on
+  tie-heavy inputs in ``tests/kernels/test_kernel_backends.py`` and
+  ``tests/kernels/test_faulty_batch.py``) match their frozen pre-spine
+  implementations in :mod:`repro.simulator.windowed`, on random
+  instances (Hypothesis) and across the policy registry grid, including
+  fault-injected runs.
 * **Fault-plane goldens** — ``tests/data/faulty_goldens.json`` records
   complete pre-refactor :class:`~repro.faults.failures.FaultyBatchPolicy`
   outcomes (placements, batches, crash/deferral counts, full event logs);
