@@ -1,9 +1,8 @@
 """Shared benchmark harness: best-of-N timing and the JSON emit contract.
 
-Three benches beside the suite record a checked-in ``BENCH_PR*.json``
-(``bench_pareto.py``, ``bench_obs_overhead.py`` and
-``bench_backend_scaling.py``); each measures something no suite workload
-runs.  They follow one protocol, factored here so they cannot drift:
+One bench beside the suite records a checked-in ``BENCH_PR*.json``:
+``bench_backend_scaling.py``, the serial-vs-thread-vs-process race that
+no suite workload runs.  Its protocol is factored here:
 
 * **Best-of-N timing** (:func:`best_of`) — gates compare the *best* rep,
   so single-shot scheduler-noise spikes on shared CI runners don't
@@ -46,11 +45,6 @@ def best_of(fn: Callable[[], Any], reps: int = 2) -> tuple[Any, float]:
         if elapsed < best_s:
             best_out, best_s = out, elapsed
     return best_out, best_s
-
-
-def placements(schedule) -> list[tuple]:
-    """Canonical placement list for schedule-identity assertions."""
-    return sorted((p.task.task_id, p.start, p.allotment) for p in schedule)
 
 
 def machine_metadata() -> dict:

@@ -139,7 +139,7 @@ class ReplayResult:
 
         ``seconds`` is the pure policy/engine time measured by
         :func:`_measure` (trace loading and instance construction are
-        excluded), so this is the number the event-spine benchmarks
+        excluded), so this is the number the replay benchmarks
         report.  Zero-duration cells (cached or degenerate) report 0.0
         rather than dividing by zero.
         """

@@ -25,7 +25,7 @@ fault axes at once:
   *from scratch* in a later batch — the crash-and-restart semantics of
   checkpoint-free clusters.  A crashed job's pending FINISH stays queued
   as a stale event (it still anchors an event window, exactly like the
-  pre-spine loop's stale completions) and resolves to nothing.
+  windowed oracle loop's stale completions) and resolves to nothing.
 
 The execution of one planned batch — the windows, evictions, deferrals
 and the batch's log records — is one kernel call,
@@ -328,13 +328,15 @@ def _check_log_times(times: np.ndarray) -> None:
     :meth:`~repro.simulator.events.EventLog.append` make, on the log's
     time column: the first record with a negative time, or more than
     ``TIME_EPS`` before the latest time logged before it, raises their
-    :class:`ValueError`."""
+    :class:`ValueError`.  The test is ``latest > time + TIME_EPS``, the
+    form an event window admits events in, so a START logged after a
+    RESERVE at its window's far edge passes."""
     if times.size == 0:
         return
     before = np.empty_like(times)
     before[0] = -np.inf
     np.fmax.accumulate(times[:-1], out=before[1:])
-    bad = np.flatnonzero((times < 0) | (times < before - TIME_EPS))
+    bad = np.flatnonzero((times < 0) | (before > times + TIME_EPS))
     if bad.size:
         i = int(bad[0])
         t = float(times[i])

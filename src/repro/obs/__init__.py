@@ -15,9 +15,11 @@ an ``is``-check, nothing else, when disabled::
     if state is not None:
         state.count("dual.probes")
 
-That read is the *entire* disabled-mode cost (pinned by
-``benchmarks/bench_obs_overhead.py``); no dict lookups, no method calls,
-no allocations happen on the hot path until a state is installed.
+That read is the *entire* disabled-mode cost, so a run's disabled cost
+is its hook count times one such check (the counts of two replay legs
+are pinned exactly by ``tests/obs/test_hook_counts.py``); no dict
+lookups, no method calls, no allocations happen on the hot path until a
+state is installed.
 
 This package imports only the standard library: the kernel layer
 (``repro.kernels``) instruments itself with ``repro.obs``, so anything

@@ -93,8 +93,8 @@ def pareto_mask_reference(points: object, *, chunk: int = 512) -> np.ndarray:
 
     Compares every point against every other by broadcasting (row-chunked
     to bound memory at ``chunk * n`` comparisons).  Kept deliberately
-    naive — it is the differential baseline the property suite and
-    ``benchmarks/bench_pareto.py`` measure :func:`pareto_mask` against,
+    naive — it is the differential baseline the property suite in
+    ``tests/pareto/test_front.py`` checks :func:`pareto_mask` against,
     in the same spirit as :mod:`repro.algorithms.reference`.
     """
     pts = as_points(points)

@@ -5,7 +5,8 @@ a front-end job queue.  This package provides:
 
 * :mod:`repro.simulator.cluster` — the processor-set resource model
   (allocate / release with explicit processor ids);
-* :mod:`repro.simulator.events` — the typed event log of an execution;
+* :mod:`repro.simulator.events` — the typed event log of an execution
+  and the ``TIME_EPS`` event-window queue;
 * :mod:`repro.simulator.engine` — a discrete-event engine that *executes*
   a schedule on the cluster, assigning concrete processors and verifying
   feasibility live (the closest analogue of running on Icluster2 that a
@@ -15,16 +16,15 @@ a front-end job queue.  This package provides:
   [21], §2.2) that turns any off-line ρ-approximation into a
   2ρ-competitive on-line scheduler, the immediate FCFS / EASY-backfill
   baselines, and the greedy-interval / reservation batch variants — the
-  batch family running on the shared incremental
-  :class:`~repro.simulator.events.EventSpine`, the FCFS dispatchers in
-  one kernel call with the same event windowing;
+  batch family cutting batches with an arrival cursor, the FCFS
+  dispatchers in one kernel call with the same event windowing;
 * :mod:`repro.simulator.reference` — the seed batch scheduler, preserved
   verbatim as the differential oracle of the policy kernel;
-* :mod:`repro.simulator.windowed` — the pre-spine FCFS dispatcher and
-  faulty batch loop, frozen as the differential oracles of the FCFS
-  dispatch kernel and the spine faulty loop (imported lazily by the test
-  suite, not re-exported here, because it reaches into
-  :mod:`repro.faults`).
+* :mod:`repro.simulator.windowed` — the FCFS dispatcher and faulty batch
+  loop as Python loops on the event-window queue, frozen as the
+  differential oracles of the FCFS dispatch kernel and the faulty batch
+  kernel (imported lazily by the test suite, not re-exported here,
+  because it reaches into :mod:`repro.faults`).
 """
 
 from repro.simulator.cluster import Cluster
@@ -32,9 +32,7 @@ from repro.simulator.events import (
     Event,
     EventKind,
     EventLog,
-    EventSpine,
     EventWindowQueue,
-    Transition,
 )
 from repro.simulator.engine import ClusterSimulator, ExecutionTrace
 from repro.simulator.online import (
@@ -56,8 +54,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "EventWindowQueue",
-    "EventSpine",
-    "Transition",
     "ClusterSimulator",
     "ExecutionTrace",
     "OnlinePolicy",

@@ -6,27 +6,36 @@ started at their scheduled times on concrete processor ids and release them
 on completion.  The replay is an *independent* feasibility oracle — it
 shares no code with :mod:`repro.core.validation` — and produces the typed
 event log plus summary statistics that the examples and the on-line
-framework build on.
+framework build on.  It runs on an
+:class:`~repro.simulator.events.EventWindowQueue`, with the event
+priorities below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import TIME_EPS
 from repro.exceptions import SchedulingError
 from repro.simulator.cluster import Cluster
-from repro.simulator.events import (
-    Event,
-    EventKind,
-    EventLog,
-    EventSpine,
-    Transition,
-)
+from repro.simulator.events import Event, EventKind, EventLog, EventWindowQueue
 
 __all__ = ["ExecutionTrace", "ClusterSimulator"]
+
+#: Event priorities within a window: completions free processors before
+#: submissions are logged, and both before starts allocate.
+FINISH, ARRIVAL, START = 0, 1, 2
+
+#: Observability counter per priority; the ``spine.`` names predate this
+#: loop and are kept so traces stay comparable.
+_COUNTERS = (
+    "spine.transitions.finish",
+    "spine.transitions.arrival",
+    "spine.transitions.start",
+)
 
 
 @dataclass
@@ -37,10 +46,6 @@ class ExecutionTrace:
     makespan: float
     processor_assignment: dict[int, tuple[int, ...]]
     completion_times: dict[int, float] = field(default_factory=dict)
-    #: Busy-time integral accumulated incrementally by the event spine
-    #: during execution; ``None`` for hand-built traces, which fall back
-    #: to the per-job log walk.
-    busy: "float | None" = None
 
     @property
     def n_jobs(self) -> int:
@@ -49,21 +54,15 @@ class ExecutionTrace:
     def busy_time(self) -> float:
         """Total processor-seconds consumed.
 
-        The simulator hands this over precomputed (the
-        :class:`~repro.simulator.events.EventSpine` integrates
-        ``k · (end − start)`` as FINISH transitions resolve); traces
-        built without it pay one indexed log lookup per job (the
+        One indexed log lookup per completed job (the
         :class:`~repro.simulator.events.EventLog` keeps a per-job event
-        index), so either way this is at most linear in the number of
-        jobs even on archive-scale executions.
+        index), summed in completion order, so this is linear in the
+        number of jobs even on archive-scale executions.
         """
-        if self.busy is not None:
-            return self.busy
         total = 0.0
-        for job_id, procs in self.processor_assignment.items():
+        for job_id, end in self.completion_times.items():
             start = self.log.start_of(job_id).time
-            end = self.completion_times[job_id]
-            total += len(procs) * (end - start)
+            total += len(self.processor_assignment[job_id]) * (end - start)
         return total
 
     def utilization(self, m: int) -> float:
@@ -94,16 +93,13 @@ class ClusterSimulator:
         cluster = Cluster(self.m)
         log = EventLog()
 
-        # Typed spine transitions: at equal times, FINISH frees processors
-        # before ARRIVAL submissions are logged and STARTs allocate.
-        finish, arrival = int(Transition.FINISH), int(Transition.ARRIVAL)
         placements = {p.task.task_id: p for p in schedule}
         all_events: list[tuple[float, int, int]] = []
         if instance is not None:
             for task in instance:
-                all_events.append((task.release, arrival, task.task_id))
+                all_events.append((task.release, ARRIVAL, task.task_id))
         for job_id, p in placements.items():
-            all_events.append((p.start, int(Transition.START), job_id))
+            all_events.append((p.start, START, job_id))
             if instance is not None and p.start < p.task.release - TIME_EPS:
                 raise SchedulingError(
                     f"job {job_id} starts at {p.start} before release {p.task.release}"
@@ -115,17 +111,22 @@ class ClusterSimulator:
         # handled completions-first: shifted schedules (on-line batches) can
         # place a start one ulp before the completion that frees its
         # processors, and the static validator tolerates exactly this noise.
-        spine = EventSpine(self.m, all_events)
-        while spine:
-            for time, kind, job_id in spine.pop_window():
-                if kind == finish:
+        queue = EventWindowQueue(all_events)
+        while queue:
+            window = queue.pop_window()
+            state = obs.ACTIVE
+            if state is not None:
+                for _t, kind, _j in window:
+                    state.count(_COUNTERS[kind])
+                state.observe("spine.window_depth", len(window))
+            for time, kind, job_id in window:
+                if kind == FINISH:
                     procs = cluster.release(job_id)
-                    spine.finish(job_id, time)
                     completion_times[job_id] = time
                     log.append(Event(time, EventKind.COMPLETED, job_id, procs))
-                elif kind == arrival:  # submission
+                elif kind == ARRIVAL:
                     log.append(Event(time, EventKind.SUBMITTED, job_id))
-                else:  # start
+                else:
                     p = placements[job_id]
                     try:
                         procs = cluster.allocate(job_id, p.allotment)
@@ -134,9 +135,7 @@ class ClusterSimulator:
                             f"at t={time:.6g}: {exc} (schedule is infeasible)"
                         ) from exc
                     assignment[job_id] = procs
-                    # Schedules the FINISH transition and keeps the busy
-                    # integral / free-capacity profile current.
-                    spine.start(job_id, p.allotment, time, p.end)
+                    queue.push(p.end, FINISH, job_id)
                     log.append(Event(time, EventKind.STARTED, job_id, procs))
 
         makespan = max(completion_times.values(), default=0.0)
@@ -145,5 +144,4 @@ class ClusterSimulator:
             makespan=makespan,
             processor_assignment=assignment,
             completion_times=completion_times,
-            busy=spine.busy_time,
         )

@@ -1,6 +1,6 @@
-"""Typed event log for simulated executions, and the shared event spine.
+"""Typed event log for simulated executions, and the event-window queue.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`EventLog` — the append-only, time-ordered record of what a
   simulated execution did.  Per-job ``STARTED`` / ``COMPLETED`` lookups
@@ -12,21 +12,17 @@ Three pieces live here:
   under the fault plane a crashed job restarts from scratch, and its
   post-restart START/COMPLETED are the ones ``start_of`` /
   ``completion_of`` / ``busy_time`` must report.
-* :class:`EventWindowQueue` — the event core shared by
-  :class:`~repro.simulator.engine.ClusterSimulator` and the on-line
-  policies of :mod:`repro.simulator.online`: a min-heap of
+* :class:`EventWindowQueue` — the event core of
+  :class:`~repro.simulator.engine.ClusterSimulator` and of the windowed
+  oracles in :mod:`repro.simulator.windowed`: a min-heap of
   ``(time, priority, id)`` tuples drained in windows of width
   :data:`~repro.core.validation.TIME_EPS`, each window sorted by
   ``(priority, time, id)`` so that ties resolve deterministically and
   completions free resources before simultaneous starts allocate them.
-* :class:`EventSpine` — the incremental event spine the batch policies
-  and the simulator engine run on: an :class:`EventWindowQueue` with
-  typed :class:`Transition` priorities, a per-job running index, an
-  incremental free-capacity count (``used`` / ``free``) and an
-  incremental busy-time integral, all O(log n) per event.  The FCFS
-  dispatchers and the faulty batch loop run the same windowing in one
-  kernel each (:func:`repro.kernels.fcfs_starts_core`,
-  :func:`repro.kernels.faulty_batch_core`).
+  The FCFS dispatchers and the faulty batch loop run the same windowing
+  in one kernel each (:func:`repro.kernels.fcfs_starts_core`,
+  :func:`repro.kernels.faulty_batch_core`), and the batch policies cut
+  their batches with the same ``t + TIME_EPS`` arrival window.
 
 Boundary semantics (pinned by the test suite, on both sides of the
 epsilon):
@@ -41,7 +37,10 @@ epsilon):
   ``TIME_EPS`` of the *latest time ever appended* — not of the previous
   event's time, which would let each slightly-early event drag the
   acceptance boundary backwards without bound (the dual of the window
-  chaining bug).
+  chaining bug).  The test is the window's own form, ``tmax <= time +
+  TIME_EPS``, so every order a window hands out is accepted: a window
+  anchored at ``t0`` that admits an event at ``tmax`` has already
+  checked ``tmax <= t0 + TIME_EPS`` with the same rounding.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from repro import obs
 from repro.core.validation import TIME_EPS
 
 __all__ = [
@@ -62,8 +58,6 @@ __all__ = [
     "Event",
     "EventLog",
     "EventWindowQueue",
-    "Transition",
-    "EventSpine",
 ]
 
 
@@ -130,7 +124,7 @@ class EventLog:
             self._tmax = event.time
 
     def append(self, event: Event) -> None:
-        if event.time < self._tmax - TIME_EPS:
+        if self._tmax > event.time + TIME_EPS:
             raise ValueError(
                 f"event at {event.time} appended after {self._tmax}"
             )
@@ -171,8 +165,8 @@ class EventWindowQueue:
     (by convention completions come first, so processors are freed before
     simultaneous submissions are logged and starts allocate).  Pushes made
     while a window is being handled land in the heap and surface in a
-    later window — the exact semantics of the seed simulator loop, now
-    shared with the on-line policies.  Windows are anchored, not chained:
+    later window — the exact semantics of the seed simulator loop, which
+    the dispatch kernels reproduce.  Windows are anchored, not chained:
     the window at ``t0`` closes at ``t0 + TIME_EPS`` no matter what is
     pushed while it is handled.
     """
@@ -202,173 +196,3 @@ class EventWindowQueue:
             window.append(heapq.heappop(heap))
         window.sort(key=lambda e: (e[1], e[0], e[2]))
         return window
-
-
-class Transition(enum.IntEnum):
-    """Typed event priorities of the spine's heap.
-
-    The integer values *are* the within-window ordering: at equal times,
-    FINISH frees capacity first, CANCEL tombstones are resolved next,
-    ARRIVAL enqueues before capacity changes RESERVE, and START allocates
-    last.  The relative order of the subsets each consumer uses matches
-    the untyped priorities the pre-spine loops pushed (completions 0,
-    submissions/arrivals and capacity changes in between, starts last),
-    so schedules stay bit-identical.
-    """
-
-    FINISH = 0
-    CANCEL = 1
-    ARRIVAL = 2
-    RESERVE = 3
-    START = 4
-
-
-#: Counter names per :class:`Transition` value (``.get`` fallback keeps
-#: untyped priorities pushed through the raw queue API from crashing the
-#: tally).
-_TRANSITION_COUNTERS = {
-    0: "spine.transitions.finish",
-    1: "spine.transitions.cancel",
-    2: "spine.transitions.arrival",
-    3: "spine.transitions.reserve",
-    4: "spine.transitions.start",
-}
-
-
-class EventSpine(EventWindowQueue):
-    """The incremental event core: windowed heap + running-set profile.
-
-    One :class:`EventWindowQueue` that also *owns the simulation state*
-    every consumer used to rebuild ad hoc:
-
-    * the **running set** — ``start(job, k, now, end)`` allocates ``k``
-      processors and schedules the FINISH transition; ``finish(job, t)``
-      resolves it;
-    * the **free-capacity count** — ``used`` / ``free`` are O(1);
-    * the **busy-time integral** — ``busy_time`` accumulates
-      ``k · (finish − start)`` per completed run, so utilization needs
-      no post-hoc log scan;
-    * the **arrival tape** — ``load_arrivals`` + ``take_arrivals`` /
-      ``next_arrival`` expose a release-sorted arrival cursor with the
-      shared ``t + TIME_EPS`` batch-cut windowing, so batch policies and
-      the heap agree on what "has arrived" means.
-
-    Every operation is O(log n) amortised.  ``m`` is the capacity the
-    ``free`` property reports against.
-    """
-
-    __slots__ = (
-        "m",
-        "_used",
-        "_busy",
-        "_running",
-        "_rel",
-        "_arr_ids",
-        "_arr_head",
-    )
-
-    def __init__(
-        self, m: int, events: Iterable[tuple[float, int, int]] = ()
-    ) -> None:
-        super().__init__(events)
-        self.m = int(m)
-        self._used = 0
-        self._busy = 0.0
-        #: job -> (start, allotment)
-        self._running: dict[int, tuple[float, int]] = {}
-        self._rel = None
-        self._arr_ids = None
-        self._arr_head = 0
-
-    # -- typed pushes -------------------------------------------------
-
-    def at(self, time: float, transition: Transition, ident: int = -1) -> None:
-        """Schedule a typed transition (a ``push`` with a named priority)."""
-        self.push(time, int(transition), ident)
-
-    def pop_window(self) -> list[tuple[float, int, int]]:
-        """Windowed pop (see :meth:`EventWindowQueue.pop_window`) plus the
-        observability tally: per-:class:`Transition` counters and the
-        window-depth histogram.  Pure bookkeeping — the returned window is
-        exactly the superclass's, and the disabled path adds one attribute
-        load and an ``is``-check."""
-        window = super().pop_window()
-        state = obs.ACTIVE
-        if state is not None:
-            counters = _TRANSITION_COUNTERS
-            for _t, priority, _i in window:
-                state.count(counters.get(priority, "spine.transitions.other"))
-            state.observe("spine.window_depth", len(window))
-        return window
-
-    # -- running set / capacity profile -------------------------------
-
-    @property
-    def used(self) -> int:
-        """Processors currently allocated to running jobs."""
-        return self._used
-
-    @property
-    def free(self) -> int:
-        """Processors currently free (against the live capacity ``m``)."""
-        return self.m - self._used
-
-    @property
-    def n_running(self) -> int:
-        return len(self._running)
-
-    @property
-    def busy_time(self) -> float:
-        """Processor-seconds of *completed* work so far (crashes excluded)."""
-        return self._busy
-
-    def __contains__(self, job: int) -> bool:
-        return job in self._running
-
-    def start(self, job: int, k: int, now: float, end: float) -> None:
-        """Allocate ``k`` processors to ``job`` and schedule its FINISH."""
-        self._running[job] = (now, k)
-        self._used += k
-        self.push(end, int(Transition.FINISH), job)
-
-    def finish(self, job: int, time: float) -> tuple[float, int]:
-        """Resolve a popped FINISH transition: release the job's
-        processors, credit its busy time and return ``(start,
-        allotment)``."""
-        start, k = self._running.pop(job)
-        self._used -= k
-        self._busy += k * (time - start)
-        return start, k
-
-    # -- arrival tape --------------------------------------------------
-
-    def load_arrivals(self, releases, idents) -> None:
-        """Attach the release-sorted arrival tape (parallel arrays of
-        release times and task ids, already in arrival order)."""
-        self._rel = releases
-        self._arr_ids = idents
-        self._arr_head = 0
-
-    def next_arrival(self) -> "float | None":
-        """Release time of the next unconsumed arrival (None when done)."""
-        if self._rel is None or self._arr_head >= len(self._rel):
-            return None
-        return float(self._rel[self._arr_head])
-
-    def take_arrivals(self, now: float) -> tuple[int, int]:
-        """Consume every arrival released by ``now`` (inclusive of the
-        shared ``TIME_EPS`` batch-cut window) and return its half-open
-        index range ``(lo, hi)`` on the arrival tape.  When nothing has
-        arrived yet the range is empty and the cursor does not move."""
-        lo = self._arr_head
-        hi = int(np.searchsorted(self._rel, now + TIME_EPS, side="right"))
-        if hi <= lo:
-            return lo, lo
-        self._arr_head = hi
-        state = obs.ACTIVE
-        if state is not None:
-            # The tape is the batch policies' arrival path (the FCFS
-            # policies count the arrivals of their kernel's windows; both
-            # land on the same counter, and no policy uses both).
-            state.count("spine.transitions.arrival", hi - lo)
-        return lo, hi

@@ -42,14 +42,16 @@ name):
 
 All policies window events as
 :class:`~repro.simulator.engine.ClusterSimulator` does — the batch
-policies on the incremental :class:`~repro.simulator.events.EventSpine`,
-the FCFS dispatchers in :func:`repro.kernels.fcfs_starts_core`, both
-with the :data:`~repro.core.validation.TIME_EPS` arrival/event
-windowing — so "simultaneous" means the same thing when a schedule is
-produced and when it is replayed on the simulated cluster.  The tests
-pin the batch policies bit for bit against the seed
+policies cut each batch at ``now + TIME_EPS`` on a release-sorted
+arrival cursor, the FCFS dispatchers window events in
+:func:`repro.kernels.fcfs_starts_core`, both with the
+:data:`~repro.core.validation.TIME_EPS` of the simulator's
+:class:`~repro.simulator.events.EventWindowQueue` — so "simultaneous"
+means the same thing when a schedule is produced and when it is replayed
+on the simulated cluster.  The tests pin the batch policies bit for bit
+against the seed
 :class:`~repro.simulator.reference.ReferenceBatchScheduler`, and the FCFS
-dispatchers, on every kernel backend, against their pre-spine copy in
+dispatchers, on every kernel backend, against their Python loop in
 :mod:`repro.simulator.windowed`.
 """
 
@@ -65,7 +67,6 @@ from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.validation import TIME_EPS
 from repro.exceptions import SchedulingError
-from repro.simulator.events import EventSpine
 
 __all__ = [
     "OnlineResult",
@@ -153,10 +154,12 @@ class BatchPolicy(OnlinePolicy):
     validation skipped — no per-batch gather, no
     :class:`~repro.core.task.MoldableTask` rebuilds, no parent-task index
     materialisation.  Sub-instances keep their real release columns, so
-    placements carry release metadata without re-binding; the arrival
-    cursor is the :class:`~repro.simulator.events.EventSpine` arrival
-    tape, whose ``t + TIME_EPS`` batch-cut window is the same one the
-    simulator engine applies when it replays the result.
+    placements carry release metadata without re-binding.  The arrival
+    cursor is a row index into the release-sorted columns, advanced by
+    one ``searchsorted`` per batch; its ``t + TIME_EPS`` batch-cut window
+    is the same one the simulator engine applies when it replays the
+    result.  Under :mod:`repro.obs` each batch counts its arrivals on
+    ``spine.transitions.arrival``.
 
     Each batch's schedule is read as its placement table: starts move to
     ``now + start`` in one vector add, ends are ``start + duration`` of
@@ -210,29 +213,25 @@ class BatchPolicy(OnlinePolicy):
             weights = np.ascontiguousarray(instance.weights[order])
             ids = np.ascontiguousarray(instance.task_ids[order])
 
-        spine = EventSpine(m)
-        spine.load_arrivals(rel, ids)
-
         shifted: list[tuple] = []  # each batch's table, moved to its start
         batch_starts: list[float] = []
         batch_contents: list[frozenset[int]] = []
 
+        lo = 0  # arrival cursor: rows before it are scheduled
         now = float(rel[0])
-        while True:
+        while lo < n:
             # Jobs that have arrived by `now` (within the shared event
             # window) form the next batch; if none, jump to the next
-            # arrival (idle gap) or finish.
-            lo, hi = spine.take_arrivals(now)
+            # arrival (idle gap).
+            hi = int(np.searchsorted(rel, now + TIME_EPS, side="right"))
             if hi <= lo:
-                nxt = spine.next_arrival()
-                if nxt is None:
-                    break
-                now = nxt
+                now = float(rel[lo])
                 continue
             sl = slice(lo, hi)
             members = frozenset(ids[sl].tolist())
             state = obs.ACTIVE
             if state is not None:
+                state.count("spine.transitions.arrival", hi - lo)
                 state.count("online.batches")
                 state.observe("online.batch_size", hi - lo)
 
@@ -260,7 +259,7 @@ class BatchPolicy(OnlinePolicy):
             shifted.append(table)
             batch_starts.append(now)
             batch_contents.append(members)
-            now = cut
+            lo, now = hi, cut
 
         # One append per run: the batches' columns joined, their task
         # sources kept.
@@ -354,12 +353,13 @@ class FcfsOnlinePolicy(OnlinePolicy):
     The whole event loop is one kernel call,
     :func:`repro.kernels.fcfs_starts_core` (``REPRO_KERNELS`` picks its
     backend).  It windows events exactly as the
-    :class:`~repro.simulator.events.EventSpine` does: windows of width
-    :data:`~repro.core.validation.TIME_EPS` anchored at their earliest
-    event, FINISH transitions freeing processors before simultaneous
-    ARRIVALs dispatch, arrivals ordered by ``(release, task_id)``.  The
-    policy rigidifies, gathers the allotment and duration columns, makes
-    the call and appends the started rows to the schedule once; under
+    :class:`~repro.simulator.events.EventWindowQueue` does: windows of
+    width :data:`~repro.core.validation.TIME_EPS` anchored at their
+    earliest event, FINISH transitions freeing processors before
+    simultaneous ARRIVALs dispatch, arrivals ordered by
+    ``(release, task_id)``.  The policy rigidifies, gathers the
+    allotment and duration columns, makes the call and appends the
+    started rows to the schedule once; under
     :mod:`repro.obs` it records the ``spine.transitions.*`` counters and
     the ``spine.window_depth`` histogram from the window depths the
     kernel returns.

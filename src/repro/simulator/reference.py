@@ -16,13 +16,13 @@ gaps, where the seed's private ``1e-12`` cut disagreed with the simulator
 engine's event windowing — see the boundary-case tests in
 ``tests/simulator/test_policies.py``.
 
-It is the oracle of the batch policies: the production kernels run on
-the incremental :class:`~repro.simulator.events.EventSpine`, and
-``tests/simulator/test_spine.py`` pins ``batch`` and ``greedy-interval``
-against this loop around the same engine (``reservation``, whose batches
-depend on their start time, is pinned by its recorded goldens).  The
-FCFS dispatcher and the faulty loop have no seed version; their frozen
-pre-spine copies live in :mod:`repro.simulator.windowed`.
+It is the oracle of the batch policies:
+``tests/simulator/test_policy_oracles.py`` pins ``batch`` and
+``greedy-interval`` against this loop around the same engine
+(``reservation``, whose batches depend on their start time, is pinned by
+its recorded goldens).  The FCFS dispatcher and the faulty loop have no
+seed version; their Python loops, frozen before they became kernels,
+live in :mod:`repro.simulator.windowed`.
 
 Do not "fix" or optimise this module: its value is that it does not move.
 """

@@ -1,17 +1,16 @@
-"""Frozen pre-spine on-line loops, kept as differential oracles.
+"""Frozen Python loops of two on-line disciplines, kept as differential oracles.
 
-When the on-line policies were ported onto the incremental
-:class:`~repro.simulator.events.EventSpine`, the previous generation of
-the FCFS dispatcher (which re-sorted its running set per EASY
-reservation query) and of the faulty batch loop (a per-batch untyped
-queue and hand-rolled running dict) moved here *verbatim*.  They are
-intentionally unoptimised snapshots and the only second implementation
-of these two loops, which now run as kernels
-(:func:`repro.kernels.fcfs_starts_core`,
+The FCFS dispatcher (which re-sorts its running set per EASY reservation
+query) and the faulty batch loop (a per-batch untyped queue on the
+:class:`~repro.simulator.events.EventWindowQueue` and a hand-rolled
+running dict) live here *verbatim*, as they stood before the event-spine
+port that preceded their kernels.  They are intentionally unoptimised
+snapshots and the only second implementation of these two loops, which
+now run as kernels (:func:`repro.kernels.fcfs_starts_core`,
 :func:`repro.kernels.faulty_batch_core`):
-``tests/simulator/test_spine.py`` runs both paths on random instances,
-fault-injected runs included, and requires bit-identical schedules, and
-``tests/kernels/test_kernel_backends.py`` and
+``tests/simulator/test_policy_oracles.py`` runs both paths on random
+instances, fault-injected runs included, and requires bit-identical
+schedules, and ``tests/kernels/test_kernel_backends.py`` and
 ``tests/kernels/test_faulty_batch.py`` run every backend of the two
 kernels against the loops here on tie-heavy inputs, so any behavioural
 drift in either port is caught against code that provably produced the
@@ -39,7 +38,7 @@ from repro.simulator.online import FcfsOnlinePolicy, OnlineResult
 
 __all__ = ["WindowedFcfsPolicy", "WindowedFaultyBatchPolicy"]
 
-#: The untyped event priorities the pre-spine faulty loop pushed.
+#: The untyped event priorities of the faulty loop.
 _PRIO_COMPLETE, _PRIO_CAPACITY, _PRIO_START = 0, 1, 2
 
 

@@ -196,12 +196,13 @@ def _faulty_cases(draw):
 
 def _outcome(policy, inst):
     """Everything a faulty run reports, floats as exact reprs, or the
-    error it raised.  (A START up to ``TIME_EPS`` before a RESERVE in its
-    window is logged after the capacity change; at the window's far edge
-    rounding can put it just beyond the log's tolerance, which raises.)"""
+    :class:`SchedulingError` it raised (a plan beyond the restart budget).
+    Any other error fails the test: a START up to ``TIME_EPS`` before a
+    RESERVE in its window is logged after the capacity change, and the
+    log must accept every order a window produces."""
     try:
         res = policy.run(inst)
-    except (ValueError, SchedulingError) as exc:
+    except SchedulingError as exc:
         return type(exc), str(exc)
     return (
         [(p.task.task_id, repr(p.start), p.allotment, repr(p.duration))
@@ -227,6 +228,39 @@ def test_policy_matches_windowed_oracle_on_every_backend(case):
         finally:
             kernels.set_backend(previous)
         assert got == want, name
+
+
+@pytest.mark.parametrize("runner", BACKENDS + ("windowed",))
+def test_start_logged_after_far_edge_reserve(runner):
+    # The window anchored at job 2's START admits machine 1's RESERVE
+    # 1e-9 later and handles it first, so the log holds the START after
+    # it; (t0 + eps) - eps rounds above t0, which the log's old check
+    # rejected.  The drop evicts job 1; job 2 fits on what is left.
+    inst = Instance.from_arrays(
+        np.array([[3.0] * 3, [1.0] * 3]), None, np.zeros(2), 3, task_ids=np.array([1, 2])
+    )
+    engine = _pinned_engine({1: (0.0, 3), 2: (0.9999999996, 1)})
+    trace = FailureTrace(
+        m=3, horizon=2.0000000006,
+        events=((1.0000000006, 1, -1), (2.0000000006, 1, 1)),
+    )
+    if runner == "windowed":
+        res = WindowedFaultyBatchPolicy(engine, failures=trace).run(inst)
+    else:
+        previous = kernels.set_backend(runner)
+        try:
+            res = FaultyBatchPolicy(engine, failures=trace).run(inst)
+        finally:
+            kernels.set_backend(previous)
+    assert (res.crashes, res.deferrals) == (1, 0)
+    assert [(p.task.task_id, p.start, p.allotment) for p in res.schedule.placements] == [
+        (2, 0.9999999996, 1), (1, 2.0000000006, 3),
+    ]
+    assert [(e.time, e.kind.value, e.job_id) for e in res.log][2:5] == [
+        (1.0000000006, "machine_down", -1),
+        (1.0000000006, "crashed", 1),
+        (0.9999999996, "started", 2),
+    ]
 
 
 @st.composite

@@ -96,7 +96,7 @@ class TestBitIdentity:
         assert _placements(traced.schedule) == _placements(baseline.schedule)
         assert state.counters["online.batches"] >= 1
         assert state.hists["online.batch_size"]["count"] >= 1
-        # The event spine saw transitions while replaying arrivals.
+        # The batch policy counted the arrivals of its batches.
         assert any(k.startswith("spine.transitions.") for k in state.counters)
         assert any(s.name.startswith("policy:") for s in state.spans)
 

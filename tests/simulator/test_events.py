@@ -246,61 +246,3 @@ class TestEpsilonBoundarySemantics:
         log = EventLog([Event(5.0, EventKind.STARTED, 1)])
         with pytest.raises(ValueError):
             log.append(Event(5.0 - 2 * TIME_EPS, EventKind.COMPLETED, 1))
-
-
-class TestEventSpine:
-    """The incremental spine: running set, capacity profile, busy time."""
-
-    def _spine(self, m=8):
-        from repro.simulator.events import EventSpine
-
-        return EventSpine(m)
-
-    def test_start_finish_roundtrip(self):
-        s = self._spine()
-        s.start(1, 3, 0.0, 10.0)
-        assert s.used == 3 and s.free == 5 and 1 in s
-        assert s.pop_window() == [(10.0, 0, 1)]
-        assert s.finish(1, 10.0) == (0.0, 3)
-        assert s.used == 0 and s.busy_time == pytest.approx(30.0)
-        assert 1 not in s
-
-    def test_capacity_follows_m(self):
-        s = self._spine(m=4)
-        s.start(1, 3, 0.0, 10.0)
-        assert s.free == 1
-        s.m = 2  # a machine failure lowered live capacity
-        assert s.free == -1 and s.used == 3
-
-    def test_arrival_tape(self):
-        import numpy as np
-
-        from repro.core.validation import TIME_EPS
-
-        s = self._spine()
-        rel = np.array([0.0, 1.0, 1.0 + TIME_EPS / 2, 5.0])
-        ids = np.array([10, 11, 12, 13])
-        s.load_arrivals(rel, ids)
-        assert s.next_arrival() == 0.0
-        assert s.take_arrivals(0.0) == (0, 1)
-        # Nothing arrived yet: empty range, cursor does not move.
-        assert s.take_arrivals(0.5) == (1, 1)
-        assert s.next_arrival() == 1.0
-        # The batch-cut window is the shared TIME_EPS.
-        assert s.take_arrivals(1.0) == (1, 3)
-        assert s.next_arrival() == 5.0
-        assert s.take_arrivals(5.0) == (3, 4)
-        assert s.next_arrival() is None
-
-    def test_transition_ordering_matches_pre_spine_priorities(self):
-        from repro.simulator.events import Transition
-
-        # FINISH frees before ARRIVAL/RESERVE act before START allocates —
-        # the relative order every pre-spine loop relied on.
-        assert (
-            Transition.FINISH
-            < Transition.CANCEL
-            < Transition.ARRIVAL
-            < Transition.RESERVE
-            < Transition.START
-        )

@@ -1,25 +1,25 @@
-"""The event-spine differential plane: spine vs the pre-spine oracles.
+"""The on-line policies against their oracles.
 
-The PR-8 refactor moved every on-line policy, the simulator engine and
-the faulty batch loop onto the incremental
-:class:`~repro.simulator.events.EventSpine`.  Three oracle layers pin it:
+Three oracle layers pin the policies of :mod:`repro.simulator.online`
+and the fault plane:
 
-* **Seed oracle** — the spine batch policies (``batch`` and
-  ``greedy-interval``) still reproduce the seed
+* **Seed oracle** — the batch policies (``batch`` and
+  ``greedy-interval``, an arrival cursor around an off-line engine)
+  reproduce the seed
   :class:`~repro.simulator.reference.ReferenceBatchScheduler` around the
-  same engine, bit for bit (the PR-5 golden corpus keeps covering this;
-  here it is fuzzed and run across the policy registry).
+  same engine, bit for bit (the golden corpus keeps covering this; here
+  it is fuzzed and run across the policy registry).
 * **Windowed oracle** — the FCFS dispatchers and the faulty loop (one
-  kernel call per run and per batch since, fuzzed per backend on
-  tie-heavy inputs in ``tests/kernels/test_kernel_backends.py`` and
-  ``tests/kernels/test_faulty_batch.py``) match their frozen pre-spine
-  implementations in :mod:`repro.simulator.windowed`, on random
-  instances (Hypothesis) and across the policy registry grid, including
+  kernel call per run and per batch, fuzzed per backend on tie-heavy
+  inputs in ``tests/kernels/test_kernel_backends.py`` and
+  ``tests/kernels/test_faulty_batch.py``) match their frozen Python
+  loops in :mod:`repro.simulator.windowed`, on random instances
+  (Hypothesis) and across the policy registry grid, including
   fault-injected runs.
 * **Fault-plane goldens** — ``tests/data/faulty_goldens.json`` records
-  complete pre-refactor :class:`~repro.faults.failures.FaultyBatchPolicy`
-  outcomes (placements, batches, crash/deferral counts, full event logs);
-  the spine port must reproduce every row.
+  complete :class:`~repro.faults.failures.FaultyBatchPolicy` outcomes
+  (placements, batches, crash/deferral counts, full event logs); every
+  row must be reproduced.
 
 Plus the archive-scale smoke: a 1M-job SWF replay window, marked slow and
 gated behind ``REPRO_RUN_SLOW=1`` (CI's slow lane).
@@ -74,7 +74,7 @@ def results_identical(a, b) -> None:
 
 
 #: Registry policy -> the oracle that must produce the same run: the seed
-#: batch loop around the policy's engine, or the pre-spine FCFS dispatcher.
+#: batch loop around the policy's engine, or the windowed FCFS dispatcher.
 ORACLES = {
     "batch": lambda: ReferenceBatchScheduler(schedule_demt),
     "greedy-interval": lambda: ReferenceBatchScheduler(
@@ -85,16 +85,16 @@ ORACLES = {
 }
 
 
-class TestSpineVsOracles:
-    """Every registry policy == its seed or frozen pre-spine oracle."""
+class TestPoliciesVsOracles:
+    """Every registry policy == its seed or frozen windowed oracle."""
 
     @pytest.mark.parametrize("name", ZERO_CONFIG_POLICIES)
     @pytest.mark.parametrize("seed", [1, 29, 404])
     def test_registry_grid_bit_identical(self, name, seed):
         inst = fuzz_instance(seed, n=24)
-        spine = get_policy(name, offline=schedule_demt).run(inst)
-        results_identical(spine, ORACLES[name]().run(inst))
-        validate_schedule(spine.schedule, inst)
+        res = get_policy(name, offline=schedule_demt).run(inst)
+        results_identical(res, ORACLES[name]().run(inst))
+        validate_schedule(res.schedule, inst)
 
     @given(
         seed=st.integers(0, 99_999),
@@ -110,7 +110,7 @@ class TestSpineVsOracles:
     @given(seed=st.integers(0, 99_999), n=st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_seed_oracle_fuzz(self, seed, n):
-        # The spine kernel reproduces the *seed* scheduler.
+        # The columnar batch policy reproduces the *seed* scheduler.
         inst = fuzz_instance(seed, n)
         results_identical(
             BatchPolicy(schedule_demt).run(inst),
@@ -119,7 +119,7 @@ class TestSpineVsOracles:
 
 
 class TestFaultyDifferential:
-    """Spine faulty loop == frozen pre-spine faulty loop, faults and all."""
+    """Faulty batch kernel == frozen windowed faulty loop, faults and all."""
 
     @given(
         seed=st.integers(0, 9999),
@@ -132,25 +132,25 @@ class TestFaultyDifferential:
         inst = fuzz_instance(seed, n)
         trace = generate_failures(8, 400.0, f"exp:{mtbf:g}:3@{seed % 7}")
         noise = "lognormal:0.5@1" if noisy else "none"
-        spine = FaultyBatchPolicy(noise=noise, failures=trace).run(inst)
+        res = FaultyBatchPolicy(noise=noise, failures=trace).run(inst)
         oracle = WindowedFaultyBatchPolicy(noise=noise, failures=trace).run(inst)
-        results_identical(spine, oracle)
-        assert spine.crashes == oracle.crashes
-        assert spine.deferrals == oracle.deferrals
+        results_identical(res, oracle)
+        assert res.crashes == oracle.crashes
+        assert res.deferrals == oracle.deferrals
         assert [
-            (e.time, e.kind, e.job_id, e.procs) for e in spine.log
+            (e.time, e.kind, e.job_id, e.procs) for e in res.log
         ] == [(e.time, e.kind, e.job_id, e.procs) for e in oracle.log]
 
     def test_nominal_runs_agree_too(self):
         inst = fuzz_instance(42, n=18)
-        spine = FaultyBatchPolicy().run(inst)
+        res = FaultyBatchPolicy().run(inst)
         oracle = WindowedFaultyBatchPolicy().run(inst)
-        results_identical(spine, oracle)
-        assert spine.crashes == oracle.crashes == 0
+        results_identical(res, oracle)
+        assert res.crashes == oracle.crashes == 0
 
 
 class TestFaultyGoldens:
-    """The spine faulty loop reproduces the pre-refactor recordings."""
+    """The faulty batch policy reproduces the recorded runs."""
 
     @pytest.mark.parametrize(
         "cell",
@@ -203,7 +203,7 @@ class TestFaultyGoldens:
     reason="archive-scale smoke; set REPRO_RUN_SLOW=1 (CI slow lane)",
 )
 class TestMillionJobSmoke:
-    """1M-job SWF replay window completes on the spine path."""
+    """1M-job SWF replay window completes on the batch policy."""
 
     def test_million_job_replay_window(self):
         import io
