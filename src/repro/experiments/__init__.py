@@ -2,8 +2,8 @@
 
 * :mod:`repro.experiments.config` — campaign parameters and the
   ``REPRO_SCALE`` environment knob (``paper`` / ``quick`` / ``smoke``);
-* :mod:`repro.experiments.engine` — execution backends (serial /
-  process-pool) and the per-cell result cache;
+* :mod:`repro.experiments.engine` — execution backends (serial, thread
+  pool, process pool) and the per-cell result cache;
 * :mod:`repro.experiments.runner` — runs one (workload, n) point or a full
   campaign: every algorithm against both lower bounds, 40 seeded runs,
   dispatched as independent cells through an engine backend;

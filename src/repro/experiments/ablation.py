@@ -1,4 +1,4 @@
-"""Ablation studies of DEMT's design choices (DESIGN.md §3, A1-A4).
+"""Ablation studies of DEMT's design choices (A1-A4).
 
 The paper motivates each ingredient qualitatively; these drivers quantify
 them on the paper's workloads:
@@ -14,11 +14,13 @@ Each driver returns ``{variant_name: (mean minsum ratio, mean cmax
 ratio)}`` over a handful of seeded instances, where ratios are against the
 standard lower bounds — directly printable by the benchmark harness.
 
-Variants are described as picklable scheduler *factories* (classes or
-:func:`functools.partial` of classes), so the per-run evaluation can be
-fanned out over the :mod:`~repro.experiments.engine` process backend:
-``ablate_shuffle(backend="process")`` runs each seeded instance's variant
-sweep in its own worker with identical numbers to the serial loop.
+The instances are one cell family, :class:`AblationCellFamily`, on
+:func:`~repro.experiments.engine.execute_cells`, so the ablations share
+the engine's backends, cache and observability with every other campaign.
+Variants are picklable scheduler *factories* (classes or
+:func:`functools.partial` of classes), so
+``ablate_shuffle(backend="process")`` measures each seeded instance in its
+own worker with numbers identical to the serial backend.
 """
 
 from __future__ import annotations
@@ -29,20 +31,12 @@ from typing import Callable
 import numpy as np
 
 from repro.algorithms.demt import DemtScheduler
-from repro.algorithms.dual_approx import dual_approximation
-from repro.bounds.minsum_lp import minsum_lower_bound
 from repro.experiments.aggregate import ratio_of_sums
-from repro.experiments.engine import (
-    CellBounds,
-    CellKey,
-    CellRecord,
-    resolve_backend,
-    resolve_cache,
-)
-from repro.utils.rng import derive_rng
-from repro.workloads.generator import generate_workload
+from repro.experiments.engine import CellKey, execute_cells
+from repro.experiments.runner import CampaignCellFamily, _measure_cell
 
 __all__ = [
+    "AblationCellFamily",
     "ablate_selection",
     "ablate_merge",
     "ablate_compaction",
@@ -51,24 +45,37 @@ __all__ = [
 ]
 
 
-def _ablation_cell(args: tuple) -> tuple[float | None, float | None, dict[str, tuple[float, float]]]:
-    """Worker: one seeded instance, the *missing* variants, plus bounds.
+def _ablation_cell(args: tuple):
+    """Worker: one seeded instance under the missing variants.
 
-    Returns ``(cmax_lb, minsum_lb, {variant: (minsum, cmax)})``; the
-    bounds are ``None`` when the caller already had them cached.
+    ``args`` is the campaign worker's tuple plus ``{variant: factory}``
+    for the variants to measure.
     """
-    kind, n, m, seed, r, variant_items, need_bounds = args
-    inst = generate_workload(kind, n=n, m=m, seed=derive_rng(seed, kind, n, r))
-    cmax_lb = minsum_lb = None
-    if need_bounds:
-        dual = dual_approximation(inst)
-        cmax_lb = dual.lower_bound
-        minsum_lb = minsum_lower_bound(inst, dual.lam).value
-    measured: dict[str, tuple[float, float]] = {}
-    for name, factory in variant_items:
-        sched = factory().schedule(inst)
-        measured[name] = (sched.weighted_completion_sum(), sched.makespan())
-    return cmax_lb, minsum_lb, measured
+    *cell, factories = args
+    return _measure_cell(cell, lambda name: factories[name]())
+
+
+class AblationCellFamily(CampaignCellFamily):
+    """The ablation family: the campaign's ``(kind, n, r)`` cells and
+    standard bounds key, each variant built by its factory and cached
+    under ``ablate:<variant>``."""
+
+    name = "ablation"
+    worker = staticmethod(_ablation_cell)
+
+    def __init__(
+        self, seed: int, m: int, variants: dict[str, Callable[[], object]]
+    ) -> None:
+        super().__init__(seed, m)
+        self.variants = variants
+
+    def record_key(self, cell, name: str) -> CellKey:
+        kind, n, r = cell
+        return CellKey(self.seed, kind, n, self.m, r, f"ablate:{name}")
+
+    def make_task(self, cell, names, validate, need_bounds) -> tuple:
+        factories = {name: self.variants[name] for name in names}
+        return super().make_task(cell, names, validate, need_bounds) + (factories,)
 
 
 def _evaluate_variants(
@@ -92,54 +99,21 @@ def _evaluate_variants(
     campaign runner, since both derive the instance from
     ``derive_rng(seed, kind, n, r)`` and compute the same two bounds.
     """
-    backend_obj = resolve_backend(backend, jobs)
-    cache = resolve_cache(cache)
-    variant_items = tuple(variants.items())
-
-    have: dict[tuple[int, str], tuple[float, float]] = {}
-    bounds_by_r: dict[int, tuple[float, float]] = {}
-    work: list[tuple] = []
-    work_rs: list[int] = []
-    for r in range(runs):
-        missing = list(variant_items)
-        if cache is not None:
-            missing = []
-            for name, factory in variant_items:
-                rec = cache.get_record(CellKey(seed, kind, n, m, r, f"ablate:{name}"))
-                if rec is None:
-                    missing.append((name, factory))
-                else:
-                    have[(r, name)] = (rec.minsum, rec.cmax)
-            b = cache.get_bounds((seed, kind, n, m, r))
-            if b is not None:
-                bounds_by_r[r] = (b.cmax_lb, b.minsum_lb)
-        if missing or r not in bounds_by_r:
-            work.append((kind, n, m, seed, r, tuple(missing), r not in bounds_by_r))
-            work_rs.append(r)
-
-    outputs = backend_obj.map(_ablation_cell, work)
-    for r, (cmax_lb, minsum_lb, measured) in zip(work_rs, outputs):
-        if cmax_lb is not None:
-            bounds_by_r[r] = (cmax_lb, minsum_lb)
-            if cache is not None:
-                cache.put_bounds(
-                    (seed, kind, n, m, r),
-                    CellBounds(cmax_lb=cmax_lb, minsum_lb=minsum_lb),
-                )
-        for name, (minsum, cmax) in measured.items():
-            have[(r, name)] = (minsum, cmax)
-            if cache is not None:
-                cache.put_record(
-                    CellKey(seed, kind, n, m, r, f"ablate:{name}"),
-                    CellRecord(cmax=cmax, minsum=minsum, seconds=0.0),
-                )
-
-    cmax_lbs = [bounds_by_r[r][0] for r in range(runs)]
-    minsum_lbs = [bounds_by_r[r][1] for r in range(runs)]
+    cells = [(kind, n, r) for r in range(runs)]
+    outcomes = execute_cells(
+        AblationCellFamily(seed, m, variants),
+        cells,
+        tuple(variants),
+        backend=backend,
+        jobs=jobs,
+        cache=cache,
+    )
+    cmax_lbs = [outcomes[cell].bounds.cmax_lb for cell in cells]
+    minsum_lbs = [outcomes[cell].bounds.minsum_lb for cell in cells]
     return {
         name: (
-            ratio_of_sums([have[(r, name)][0] for r in range(runs)], minsum_lbs),
-            ratio_of_sums([have[(r, name)][1] for r in range(runs)], cmax_lbs),
+            ratio_of_sums([outcomes[c].records[name].minsum for c in cells], minsum_lbs),
+            ratio_of_sums([outcomes[c].records[name].cmax for c in cells], cmax_lbs),
         )
         for name in variants
     }

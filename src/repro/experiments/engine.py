@@ -6,28 +6,29 @@ one measurement on one instance, addressed by
 a cell of one campaign type *is* — its key schema, its worker (measure
 function) and its record assembly — and :func:`execute_cells` drives every
 family through the same machinery: cache lookups, backend dispatch and
-journalling.  The figure campaigns, the Pareto sweeps, the on-line
-arrival sweeps and the trace replays are all families of this one
-protocol.  Because a cell's result is a pure function of its key (instances
-derive from stateless RNG streams or content-addressed traces), a cell's
-result does not depend on which other cells ran, in which order, or in
-which process — which is what makes the two execution backends
-interchangeable:
+journalling.  The figure campaigns, the ablations, the Pareto sweeps, the
+on-line arrival sweeps, the trace replays and the robustness campaigns
+are all families of this one protocol.  Because a cell's result is a pure
+function of its key (instances derive from stateless RNG streams or
+content-addressed traces), a cell's result does not depend on which other
+cells ran, in which order, or in which process or thread — which is what
+makes the three execution backends interchangeable:
 
 * :class:`SerialBackend` — a plain in-process loop (the default; zero
   overhead, exact for tests);
 * :class:`ThreadBackend` — a :class:`concurrent.futures.ThreadPoolExecutor`
   fan-out inside one process.  Zero-copy: tasks and results never pickle,
-  no shared-memory staging, no per-worker kernel warmup.  Real parallelism
-  comes from the compiled kernel layer releasing the GIL
+  and there is no per-worker kernel warmup.  Real parallelism comes from
+  the compiled kernel layer releasing the GIL
   (:mod:`repro.kernels`; pinned by ``tests/kernels/test_gil_release.py``),
   so kernel-bound cells overlap while the Python glue interleaves.
 * :class:`ProcessBackend` — a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out over CPU cores.  Workers receive plain picklable argument tuples
-  and return plain records; numbers are guaranteed identical to the serial
-  backend (only the wall-clock ``seconds`` measurements differ).
+  (a replay trace pickles with them) and return plain records; numbers are
+  guaranteed identical to the serial backend (only the wall-clock
+  ``seconds`` measurements differ).
 
-Both backends optionally take a :class:`RetryPolicy`, which turns them
+Every backend optionally takes a :class:`RetryPolicy`, which turns it
 crash-tolerant: failed cell attempts are retried with exponential backoff
 and deterministic jitter, a cell still failing after its attempt budget is
 **quarantined** (recorded as a :class:`CellFailure` instead of aborting
@@ -62,17 +63,14 @@ from concurrent.futures import (
     TimeoutError as FutureTimeout,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable
 
 from repro import obs
 from repro.utils.log import get_logger
-from repro.utils.shm import SharedColumnar
 
 __all__ = [
-    "SharedColumnar",
     "CellKey",
     "CellRecord",
     "CellBounds",
@@ -453,10 +451,11 @@ class CellFamily:
     """Declarative description of one cell family.
 
     A *cell family* is a kind of independently reproducible measurement —
-    the figure campaigns, the Pareto sweeps, the on-line arrival sweeps and
-    the trace replays are each one family.  A family declares three things
-    and inherits every piece of orchestration (cache lookups, validated-
-    record policy, serial/process dispatch, journalling) from
+    the figure campaigns, the ablations, the Pareto sweeps, the on-line
+    arrival sweeps, the trace replays and the robustness campaigns are
+    each one family.  A family declares three things and inherits every
+    piece of orchestration (cache lookups, validated-record policy,
+    serial/thread/process dispatch, journalling) from
     :func:`execute_cells`:
 
     ``worker``
@@ -499,20 +498,6 @@ class CellFamily:
     ) -> tuple:
         """The worker's argument tuple for measuring ``names`` on ``cell``."""
         raise NotImplementedError
-
-    def dispatch(self, backend) -> "object":
-        """Context manager wrapped around task building and dispatch.
-
-        :func:`execute_cells` enters it before the first :meth:`make_task`
-        call and exits it after ``backend.map`` returns.  The default is a
-        no-op.  Families whose tasks share a large columnar payload
-        override it to stage the columns in shared memory
-        (:class:`~repro.utils.shm.SharedColumnar`) while the process
-        backend fans out, so the payload crosses to the workers once
-        through the OS instead of once per task through pickle — see
-        :class:`~repro.experiments.replay.ReplayCellFamily`.
-        """
-        return nullcontext()
 
 
 @dataclass(frozen=True)
@@ -728,13 +713,13 @@ def execute_cells(
 
     This is the single execution path behind every campaign driver: cache
     lookups decide the work list, the backend runs ``family.worker`` over
-    it (serially or across processes), and results merge back into the
-    cache.  Guarantees, identical for every family:
+    it (serially, over threads or across processes), and results merge
+    back into the cache.  Guarantees, identical for every family:
 
-    * **Backend equivalence** — serial and process backends produce
-      bit-identical records (workers receive plain picklable tuples and
-      derive everything from them; only wall-clock fields can differ
-      between *fresh* measurements).
+    * **Backend equivalence** — the serial, thread and process backends
+      produce bit-identical records (workers receive plain picklable
+      tuples and derive everything from them; only wall-clock fields can
+      differ between *fresh* measurements).
     * **Validated-record policy** — a ``validate=True`` call only accepts
       cached records that were themselves measured under validation;
       anything else is re-measured.
@@ -797,48 +782,47 @@ def _execute_cells_impl(
     misses0 = cache.misses if cache is not None else 0
     worker = family.worker if obs_state is None else _ObsTask(family.worker)
 
-    with family.dispatch(backend):
-        for cell in cells:
-            have: dict[str, CellRecord] = {}
-            missing: list[str] = []
-            bkey = family.bounds_key(cell)
-            bounds = None
-            if cache is not None:
-                for name in names:
-                    rec = cache.get_record(
-                        family.record_key(cell, name), require_validated=validate
-                    )
-                    if rec is None:
-                        missing.append(name)
-                    else:
-                        have[name] = rec
-                if bkey is not None:
-                    bounds = cache.get_bounds(bkey)
-            else:
-                missing = list(names)
-            if not missing and (bkey is None or bounds is not None):
-                results[cell] = CellOutcome(bounds, have, frozenset(have))
-                continue
-            cached_parts[cell] = have
-            work_cells.append(cell)
-            work.append(
-                family.make_task(
-                    cell, tuple(missing), validate, bkey is not None and bounds is None
+    for cell in cells:
+        have: dict[str, CellRecord] = {}
+        missing: list[str] = []
+        bkey = family.bounds_key(cell)
+        bounds = None
+        if cache is not None:
+            for name in names:
+                rec = cache.get_record(
+                    family.record_key(cell, name), require_validated=validate
                 )
-            )
-
-        if obs_state is not None and obs_span is not None:
-            # Root spans opened on thread-backend worker threads graft
-            # under this dispatch span (their own tid lanes), mirroring
-            # where merged process-worker snapshots land.
-            prev_graft = obs_state.thread_graft
-            obs_state.thread_graft = obs_span.sid
-            try:
-                outputs = backend.map(worker, work)
-            finally:
-                obs_state.thread_graft = prev_graft
+                if rec is None:
+                    missing.append(name)
+                else:
+                    have[name] = rec
+            if bkey is not None:
+                bounds = cache.get_bounds(bkey)
         else:
+            missing = list(names)
+        if not missing and (bkey is None or bounds is not None):
+            results[cell] = CellOutcome(bounds, have, frozenset(have))
+            continue
+        cached_parts[cell] = have
+        work_cells.append(cell)
+        work.append(
+            family.make_task(
+                cell, tuple(missing), validate, bkey is not None and bounds is None
+            )
+        )
+
+    if obs_state is not None and obs_span is not None:
+        # Root spans opened on thread-backend worker threads graft
+        # under this dispatch span (their own tid lanes), mirroring
+        # where merged process-worker snapshots land.
+        prev_graft = obs_state.thread_graft
+        obs_state.thread_graft = obs_span.sid
+        try:
             outputs = backend.map(worker, work)
+        finally:
+            obs_state.thread_graft = prev_graft
+    else:
+        outputs = backend.map(worker, work)
 
     if obs_state is not None and cache is not None:
         state_hits = cache.hits - hits0
@@ -915,8 +899,7 @@ class ThreadBackend:
     """Fan cells out over a thread pool inside this process.
 
     Zero-copy by construction: ``fn`` and the items are shared objects —
-    nothing pickles, nothing stages through shared memory, and there is
-    no per-worker warmup (the process's imports, compiled kernels and kernel
+    nothing pickles, and there is no per-worker warmup (the process's imports, compiled kernels and kernel
     backend selection are already live).  Real parallelism comes from the
     compiled kernel layer releasing the GIL (:mod:`repro.kernels` with
     the ``cffi`` backend; NumPy ufuncs release it too), so

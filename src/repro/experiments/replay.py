@@ -43,7 +43,6 @@ and journalling behave exactly like every other campaign family.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -60,14 +59,13 @@ from repro.experiments.engine import (
     execute_cells,
     resolve_cache,
 )
+from repro.experiments.online_eval import _offline_label
 from repro.io.swf import write_swf
 from repro.simulator.online import ONLINE_POLICIES, ZERO_CONFIG_POLICIES, get_policy
 from repro.workloads.trace import (
     MOLDABILITY_MODELS,
-    SharedTraceHandle,
     Trace,
     load_trace,
-    resolve_trace,
     trace_instance,
 )
 
@@ -146,13 +144,6 @@ class ReplayResult:
         return self.n_jobs / self.seconds if self.seconds > 0 else 0.0
 
 
-def _engine_label(offline: Callable) -> str | None:
-    """Stable cache label for the engine, or ``None`` (not cacheable)."""
-    from repro.experiments.online_eval import _offline_label
-
-    return _offline_label(offline)
-
-
 def replay_cell_key(
     trace: Trace, m: int, model: str, mode: str, engine_label: str
 ) -> CellKey:
@@ -208,13 +199,11 @@ def _measure(
 
 def _replay_cell(args: tuple):
     """Worker: one replay cell's record (top-level and picklable, so the
-    process backend can fan replay cells out across cores).  Under that
-    backend the trace arrives as zero-copy views over the family's shared
-    block (a :class:`~repro.workloads.trace.SharedTraceHandle` unpickles
-    straight into a :class:`Trace`); in-process calls unwrap the handle."""
+    process backend can fan replay cells out across cores; the trace
+    pickles with the rest of the argument tuple)."""
     trace, m, model, mode, offline, validate, names = args
     (makespan, flow, batches, seconds), _ = _measure(
-        resolve_trace(trace), m, model, mode, offline, validate
+        trace, m, model, mode, offline, validate
     )
     record = CellRecord(
         cmax=makespan,
@@ -238,38 +227,14 @@ class ReplayCellFamily(CellFamily):
         self.trace = trace
         self.m = int(m)
         self.offline = offline
-        self._ship: SharedTraceHandle | None = None
 
     def record_key(self, cell, name: str) -> CellKey:
         model, mode = cell
         return replay_cell_key(self.trace, self.m, model, mode, name)
 
-    def dispatch(self, backend):
-        """Stage the trace columns in shared memory for a process fan-out.
-
-        Every task of this family references the same trace; without this
-        the process backend re-pickles all five columns per task.  The
-        serial and thread backends take the no-staging fast path: their
-        workers share this process's trace object directly (the thread
-        backend's zero-copy property), so staging would only add copies.
-        """
-        if getattr(backend, "name", "") != "process" or self.trace.n == 0:
-            return nullcontext()
-        return self._shared_dispatch()
-
-    @contextmanager
-    def _shared_dispatch(self):
-        self._ship = SharedTraceHandle(self.trace)
-        try:
-            yield
-        finally:
-            ship, self._ship = self._ship, None
-            ship.release()
-
     def make_task(self, cell, names, validate, need_bounds) -> tuple:
         model, mode = cell
-        trace = self._ship if self._ship is not None else self.trace
-        return (trace, self.m, model, mode, self.offline, validate, names)
+        return (self.trace, self.m, model, mode, self.offline, validate, names)
 
 
 def _as_trace(source: "Trace | str | object") -> Trace:
@@ -334,7 +299,7 @@ def replay_trace(
     model_list = _normalize(models, MOLDABILITY_MODELS, "moldability model")
     mode_list = _normalize(modes, REPLAY_MODES, "replay mode")
 
-    label = _engine_label(offline)
+    label = _offline_label(offline)
     engine = label or getattr(offline, "__name__", repr(offline))
     release_sum = float(trace.submits.sum()) if trace.n else 0.0
 
@@ -405,7 +370,7 @@ def export_replay_swf(
         trace, m, model, "batch", offline, validate
     )
     cache = resolve_cache(cache)
-    label = _engine_label(offline)
+    label = _offline_label(offline)
     if cache is not None and label is not None:
         cache.put_record(
             replay_cell_key(trace, m, model, "batch", label),

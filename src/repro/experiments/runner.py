@@ -11,17 +11,18 @@ from ``derive_rng(seed, kind, n, r)``, so any single run can be regenerated
 independently of campaign order — and therefore in any process.  The
 execution itself goes through :func:`run_cells`, which takes an
 :mod:`~repro.experiments.engine` backend (``"serial"`` by default,
-``"process"`` to scale a campaign across cores) and an optional
-:class:`~repro.experiments.engine.CellCache` so repeated campaigns and
-ablations only pay for cells they have not measured yet.  Both backends
-produce identical numbers; only the wall-clock ``seconds`` fields differ.
+``"thread"`` or ``"process"`` to scale a campaign across cores) and an
+optional :class:`~repro.experiments.engine.CellCache` so repeated
+campaigns and ablations only pay for cells they have not measured yet.
+All three backends produce identical numbers; only the wall-clock
+``seconds`` fields differ.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.algorithms.dual_approx import dual_approximation
 from repro.algorithms.list_graham import ListGrahamScheduler
 from repro.algorithms.registry import get_algorithm
 from repro.bounds.minsum_lp import minsum_lower_bound
+from repro.core.instance import Instance
 from repro.core.validation import validate_schedule
 from repro.experiments.aggregate import RatioStats, aggregate_ratios
 from repro.experiments.config import ExperimentConfig
@@ -118,21 +120,27 @@ class CampaignResult:
 # ---------------------------------------------------------------------- #
 # Cell execution                                                         #
 # ---------------------------------------------------------------------- #
-def _run_cell(args: tuple) -> tuple[CellBounds | None, dict[str, CellRecord]]:
-    """Worker: measure one instance under a set of algorithms.
+def _measure_cell(
+    cell: Sequence, build: Callable[[str], object], inst: Instance | None = None
+) -> tuple[CellBounds | None, dict[str, CellRecord]]:
+    """Measure one instance under a set of named schedulers.
 
-    Top-level (picklable) so the process backend can ship it.  ``args`` is
-    ``(seed, kind, n, m, r, algorithms, validate, need_bounds)``.
+    The body every seeded cell worker shares.  ``cell`` is ``(seed, kind,
+    n, m, r, names, validate, need_bounds)`` and ``build`` turns a name
+    into a fresh scheduler.  ``inst`` defaults to the seeded synthetic
+    instance of ``derive_rng(seed, kind, n, r)`` — the stream that makes
+    the bounds key shareable between the families built on it.
     """
-    seed, kind, n, m, r, algorithms, validate, need_bounds = args
-    rng = derive_rng(seed, kind, n, r)
-    inst = generate_workload(kind, n=n, m=m, seed=rng)
+    seed, kind, n, m, r, names, validate, need_bounds = cell
+    if inst is None:
+        inst = generate_workload(kind, n=n, m=m, seed=derive_rng(seed, kind, n, r))
 
-    schedulers = [(name, get_algorithm(name)) for name in algorithms]
+    schedulers = [(name, build(name)) for name in names]
     # The dual approximation is only computed when something consumes it:
     # the lower bounds, or a list baseline sharing its allotments (their
     # published definition uses the [7] allotments; recomputing would
-    # triple the cost for identical results).
+    # triple the cost for identical results).  It stays outside the
+    # timing window, so every record's seconds time ``schedule`` alone.
     dual = None
     if need_bounds or any(
         isinstance(s, ListGrahamScheduler) for _, s in schedulers
@@ -163,11 +171,21 @@ def _run_cell(args: tuple) -> tuple[CellBounds | None, dict[str, CellRecord]]:
     return bounds, records
 
 
+def _run_cell(args: tuple) -> tuple[CellBounds | None, dict[str, CellRecord]]:
+    """Worker: measure one instance under a set of registry algorithms.
+
+    Top-level (picklable) so the process backend can ship it.  ``args`` is
+    ``(seed, kind, n, m, r, algorithms, validate, need_bounds)``.
+    """
+    return _measure_cell(args, get_algorithm)
+
+
 class CampaignCellFamily(CellFamily):
-    """The figure/ablation family: ``(kind, n, r)`` cells, every algorithm
+    """The figure family: ``(kind, n, r)`` cells, every algorithm
     measured on the seeded synthetic instance, records cached under the
     plain algorithm name and instance bounds under the standard bounds
-    key ``(seed, kind, n, m, r)`` (shared with the Pareto sweeps)."""
+    key ``(seed, kind, n, m, r)`` (shared with the ablations and the
+    Pareto sweeps)."""
 
     name = "campaign"
     worker = staticmethod(_run_cell)
@@ -226,57 +244,23 @@ def _run_pareto_cell(args: tuple) -> tuple[CellBounds | None, dict[str, CellReco
 
     ``args`` is ``(seed, kind, n, m, r, specs, validate, need_bounds,
     payload)``.  ``payload`` is ``None`` for synthetic kinds — the
-    instance then comes from the exact ``derive_rng(seed, kind, n, r)``
-    stream of :func:`_run_cell`, which is what makes the bounds key
-    shareable with the figure campaigns — or ``(trace, model)`` for a
-    ``trace:`` kind (a :class:`~repro.workloads.trace.Trace` ships as
-    plain picklable arrays, like the replay workers).
+    instance then comes from the seeded stream of :func:`_run_cell`,
+    which is what makes the bounds key shareable with the figure
+    campaigns — or ``(trace, model)`` for a ``trace:`` kind (a
+    :class:`~repro.workloads.trace.Trace` pickles as plain arrays, like
+    the replay workers' traces).
     """
     from repro.pareto.sweep import parse_variant
 
-    seed, kind, n, m, r, specs, validate, need_bounds, payload = args
-    if payload is None:
-        rng = derive_rng(seed, kind, n, r)
-        inst = generate_workload(kind, n=n, m=m, seed=rng)
-    else:
-        from repro.workloads.trace import resolve_trace, trace_instance
+    *cell, payload = args
+    inst = None
+    if payload is not None:
+        from repro.workloads.trace import trace_instance
 
         trace, model = payload
-        inst = trace_instance(resolve_trace(trace), m, model, online=False)
-
-    schedulers = [(spec, parse_variant(spec).build()) for spec in specs]
-    # Share one dual approximation across the bounds and every list
-    # baseline variant, exactly as :func:`_run_cell` does — and outside
-    # the timing window, so the recorded seconds stay comparable to the
-    # campaign records sitting beside these in the shared cache.
-    dual = None
-    if need_bounds or any(
-        isinstance(s, ListGrahamScheduler) for _, s in schedulers
-    ):
-        dual = dual_approximation(inst)
-    bounds = None
-    if need_bounds:
-        bounds = CellBounds(
-            cmax_lb=dual.lower_bound,
-            minsum_lb=minsum_lower_bound(inst, dual.lam).value,
-        )
-
-    records: dict[str, CellRecord] = {}
-    for spec, scheduler in schedulers:
-        if isinstance(scheduler, ListGrahamScheduler):
-            scheduler.dual = dual
-        t0 = time.perf_counter()
-        sched = scheduler.schedule(inst)
-        seconds = time.perf_counter() - t0
-        if validate:
-            validate_schedule(sched, inst)
-        records[spec] = CellRecord(
-            cmax=sched.makespan(),
-            minsum=sched.weighted_completion_sum(),
-            seconds=seconds,
-            validated=validate,
-        )
-    return bounds, records
+        m = cell[3]
+        inst = trace_instance(trace, m, model, online=False)
+    return _measure_cell(cell, lambda spec: parse_variant(spec).build(), inst)
 
 
 class ParetoCellFamily(CampaignCellFamily):
@@ -294,47 +278,14 @@ class ParetoCellFamily(CampaignCellFamily):
     ) -> None:
         super().__init__(seed, m)
         self.payloads = payloads or {}
-        self._shipped: dict[str, object] | None = None
 
     def record_key(self, cell, name: str) -> CellKey:
         kind, n, r = cell
         return CellKey(self.seed, kind, n, self.m, r, f"pareto:{name}")
 
-    def dispatch(self, backend):
-        """Stage each payload trace in shared memory for a process fan-out
-        (one block per ``trace:`` kind, shared by all that kind's cells).
-        Serial and thread dispatch take the no-staging fast path — their
-        workers read this process's payload objects directly."""
-        if getattr(backend, "name", "") != "process" or not self.payloads:
-            return nullcontext()
-        return self._shared_dispatch()
-
-    @contextmanager
-    def _shared_dispatch(self):
-        from repro.workloads.trace import SharedTraceHandle
-
-        handles = []
-        shipped = {}
-        for kind, payload in self.payloads.items():
-            trace, model = payload
-            handle = SharedTraceHandle(trace)
-            handles.append(handle)
-            shipped[kind] = (handle, model)
-        self._shipped = shipped
-        try:
-            yield
-        finally:
-            self._shipped = None
-            for handle in handles:
-                handle.release()
-
     def make_task(self, cell, names, validate, need_bounds) -> tuple:
-        kind, n, r = cell
-        payloads = self._shipped if self._shipped is not None else self.payloads
-        return (
-            self.seed, kind, n, self.m, r, names, validate, need_bounds,
-            payloads.get(kind),
-        )
+        payload = self.payloads.get(cell[0])  # keyed by the cell's kind
+        return super().make_task(cell, names, validate, need_bounds) + (payload,)
 
 
 def run_pareto_cells(

@@ -93,7 +93,7 @@ class WindowedFcfsPolicy(FcfsOnlinePolicy):
 
         tombstones = 0
 
-        def dispatch(now: float) -> None:
+        def start_waiting(now: float) -> None:
             nonlocal head_i, tombstones
             if tombstones * 2 > len(waiting) - head_i:
                 live = [j for j in waiting[head_i:] if j is not None]
@@ -134,7 +134,7 @@ class WindowedFcfsPolicy(FcfsOnlinePolicy):
                     free += k
                 else:  # arrival
                     waiting.append(job_id)
-            dispatch(now)
+            start_waiting(now)
 
         if head_i < len(waiting) and any(
             j is not None for j in waiting[head_i:]

@@ -48,7 +48,6 @@ import numpy as np
 from repro.core.instance import Instance
 from repro.exceptions import ModelError
 from repro.utils.rng import derive_rng
-from repro.utils.shm import SharedColumnar
 from repro.workloads.columnar import _downey_speedup_rows
 from repro.workloads.generator import generate_workload
 from repro.workloads.parallelism import (
@@ -59,8 +58,6 @@ from repro.workloads.parallelism import (
 
 __all__ = [
     "Trace",
-    "SharedTraceHandle",
-    "resolve_trace",
     "load_trace",
     "parse_trace",
     "trace_instance",
@@ -229,67 +226,6 @@ class Trace:
             offset=self.offset,
             max_procs=self.max_procs,
         )
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory shipping                                                #
-# --------------------------------------------------------------------- #
-def _trace_from_shared(shared: SharedColumnar, meta: tuple) -> Trace:
-    """Worker-side reconstruction of a shipped trace (unpickle target).
-
-    Builds a real :class:`Trace` over the block's zero-copy column views.
-    The digest is **passed through**, not recomputed — rehashing megabyte
-    columns in every worker would cancel the savings of sharing them.
-    """
-    digest, offset, max_procs = meta
-    cols = shared.arrays
-    return Trace(
-        cols["job_ids"], cols["submits"], cols["waits"], cols["runs"],
-        cols["procs"],
-        digest=digest, offset=offset, max_procs=max_procs,
-    )
-
-
-class SharedTraceHandle:
-    """Process-backend shipping proxy for a :class:`Trace`.
-
-    Stages the five columns in one :class:`~repro.utils.shm.SharedColumnar`
-    block; **pickles as that block's descriptor and unpickles as a real
-    Trace** over zero-copy views, so workers are oblivious to the
-    transport.  In-process consumers (the serial path, a single-task
-    short-circuit) receive the handle itself un-pickled — unwrap with
-    :func:`resolve_trace`.
-
-    The dispatching family owns the block: call :meth:`release` once the
-    fan-out has returned.
-    """
-
-    __slots__ = ("trace", "_shared", "_meta")
-
-    def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-        self._shared = SharedColumnar(
-            {
-                "job_ids": trace.job_ids,
-                "submits": trace.submits,
-                "waits": trace.waits,
-                "runs": trace.runs,
-                "procs": trace.procs,
-            }
-        )
-        self._meta = (trace.digest, trace.offset, trace.max_procs)
-
-    def __reduce__(self):
-        return (_trace_from_shared, (self._shared, self._meta))
-
-    def release(self) -> None:
-        """Tear the shared block down (creator side, after the fan-out)."""
-        self._shared.destroy()
-
-
-def resolve_trace(obj: "Trace | SharedTraceHandle") -> Trace:
-    """The actual trace behind a worker argument, shipped or not."""
-    return obj.trace if isinstance(obj, SharedTraceHandle) else obj
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.experiments.ablation import (
     ABLATIONS,
     ablate_compaction,
@@ -45,3 +46,14 @@ class TestAblations:
         for driver in ABLATIONS.values():
             out = driver(**TINY)
             assert out and all(len(v) == 2 for v in out.values())
+
+    def test_runs_as_an_engine_cell_family(self):
+        """One ``cells:ablation`` span and the engine's counters: every
+        variant of every run measured once."""
+        obs.enable(fresh=True)
+        try:
+            ablate_merge(**TINY)
+        finally:
+            state = obs.disable()
+        assert "cells:ablation" in {span.name for span in state.spans}
+        assert state.counters["cells.measured"] == 2 * TINY["runs"]

@@ -1,8 +1,7 @@
-"""The unified ``execute_cells`` protocol, across all four cell families.
+"""The unified ``execute_cells`` protocol, across the cell families.
 
-Acceptance pinning for the PR-5 refactor (extended to the PR-10 thread
-backend): figures/ablation (campaign), Pareto-sweep, on-line arrival-sweep
-and trace-replay cells all flow through
+Figure-campaign, ablation, Pareto-sweep (synthetic and ``trace:``
+payloads), on-line arrival-sweep and trace-replay cells all flow through
 :func:`repro.experiments.engine.execute_cells`, and for each family
 
 * serial, thread and process backends produce **bit-identical** records
@@ -21,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.demt import schedule_demt
+from repro.experiments.ablation import ablate_selection
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import (
     CellFamily,
@@ -32,6 +32,7 @@ from repro.experiments.online_eval import evaluate_online
 from repro.experiments.replay import replay_trace
 from repro.experiments.runner import run_cells, run_pareto_cells
 from repro.pareto.sweep import sweep_online_policies
+from repro.workloads.trace import load_trace
 
 TRACE = Path(__file__).resolve().parents[1] / "data" / "traces" / "cirne_small.swf"
 
@@ -46,9 +47,26 @@ def campaign_records(**kw):
     return run_cells(cells, CFG, **kw)
 
 
+def ablation_ratios(**kw):
+    return ablate_selection(kind="mixed", n=8, m=8, runs=2, seed=77, **kw)
+
+
 def pareto_records(**kw):
     cells = [("mixed", 8, r) for r in range(2)]
     return run_pareto_cells(cells, ["DEMT", "DEMT[shuffle=0]"], seed=77, m=8, **kw)
+
+
+def pareto_trace_records(**kw):
+    """``trace:`` payloads: the trace travels in the worker tuple (two
+    cells, so the process backend really fans out)."""
+    trace = load_trace(TRACE)
+    payloads = {
+        f"trace:cirne_small:{model}": (trace, model) for model in ("rigid", "downey")
+    }
+    return run_pareto_cells(
+        [(kind, trace.n, 0) for kind in payloads], ["DEMT[shuffle=2]", "SAF"],
+        seed=1, m=16, payloads=payloads, **kw,
+    )
 
 
 def online_points(**kw):
@@ -65,7 +83,9 @@ def replay_results(**kw):
 
 FAMILY_DRIVERS = {
     "campaign": campaign_records,
+    "ablation": ablation_ratios,
     "pareto": pareto_records,
+    "pareto-trace": pareto_trace_records,
     "online": online_points,
     "replay": replay_results,
 }
@@ -73,7 +93,7 @@ FAMILY_DRIVERS = {
 
 def family_digest(family: str, result):
     """Wall-clock-free digest of one driver's result for bit-identity."""
-    if family in ("campaign", "pareto"):
+    if family in ("campaign", "pareto", "pareto-trace"):
         return {
             cell: (
                 bounds,
@@ -84,6 +104,8 @@ def family_digest(family: str, result):
             )
             for cell, (bounds, records) in result.items()
         }
+    if family == "ablation":
+        return result
     if family == "online":
         return [
             (p.horizon_fraction, p.mean_ratio, p.max_ratio, p.mean_batches)
@@ -122,11 +144,11 @@ class TestZeroReexecution:
         assert warm.misses == 0, f"{family}: {warm.misses} cells re-executed"
         assert warm.hits > 0
 
-        if family in ("campaign", "pareto"):
+        if family in ("campaign", "pareto", "pareto-trace"):
             for cell, (bounds, records) in first.items():
                 wbounds, wrecords = again[cell]
                 assert bounds == wbounds and records == wrecords
-        elif family == "online":
+        elif family in ("ablation", "online"):
             assert first == again
         else:
             assert all(r.cached for r in again)
