@@ -138,6 +138,16 @@ class Trace:
             h.update(arr.tobytes())
         return h.hexdigest()
 
+    def __reduce__(self):
+        # The process backend ships traces by pickle: rebuild through
+        # ``__init__`` so the worker's columns are read-only too, and pass
+        # the digest along rather than re-hashing the columns.
+        return (
+            _rebuild_trace,
+            (self.job_ids, self.submits, self.waits, self.runs, self.procs,
+             self.digest, self.offset, self.max_procs),
+        )
+
     # ------------------------------------------------------------------ #
     # Basic queries                                                      #
     # ------------------------------------------------------------------ #
@@ -226,6 +236,14 @@ class Trace:
             offset=self.offset,
             max_procs=self.max_procs,
         )
+
+
+def _rebuild_trace(job_ids, submits, waits, runs, procs, digest, offset, max_procs) -> Trace:
+    """Unpickling half of :meth:`Trace.__reduce__`."""
+    return Trace(
+        job_ids, submits, waits, runs, procs,
+        digest=digest, offset=offset, max_procs=max_procs,
+    )
 
 
 # --------------------------------------------------------------------- #

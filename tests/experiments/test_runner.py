@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import CampaignResult, run_campaign, run_point
+from repro.experiments.runner import (
+    CampaignResult,
+    run_campaign,
+    run_cells,
+    run_pareto_cells,
+    run_point,
+)
 
 TINY = ExperimentConfig(m=8, task_counts=(6, 12), runs=2, seed=99)
 
@@ -77,3 +83,24 @@ class TestRunCampaign:
     def test_workload_recorded(self, campaign):
         assert campaign.workload == "mixed"
         assert campaign.config == TINY
+
+
+class TestSharedMeasurement:
+    def test_figure_and_pareto_workers_measure_alike(self):
+        """Both workers run ``_measure_cell``: a plain variant spec on the
+        seeded cell gets the figure worker's bounds and numbers, the list
+        baseline (which reuses the shared dual) included."""
+        cells = [("mixed", 8, r) for r in range(2)]
+        names = ("DEMT", "SAF")
+        figure = run_cells(cells, TINY.scaled(algorithms=names), validate=True)
+        pareto = run_pareto_cells(
+            cells, list(names), seed=TINY.seed, m=TINY.m, validate=True
+        )
+        for cell in cells:
+            (fb, frec), (pb, prec) = figure[cell], pareto[cell]
+            assert (fb.cmax_lb, fb.minsum_lb) == (pb.cmax_lb, pb.minsum_lb)
+            for name in names:
+                assert (frec[name].cmax, frec[name].minsum) == (
+                    prec[name].cmax, prec[name].minsum,
+                )
+                assert frec[name].validated and prec[name].validated

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,43 @@ class TestTransforms:
         assert sc.procs.tolist() == tr.procs.tolist()
         with pytest.raises(ModelError):
             tr.scaled(0.0)
+
+
+COLUMNS = ("job_ids", "submits", "waits", "runs", "procs")
+
+
+class TestPickle:
+    """The process backend ships a trace to its workers by plain pickle."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return load_trace(synthesize_swf(40, 8, seed=5))
+
+    def test_round_trip_keeps_columns_and_identity(self, trace):
+        for tr in (trace, trace.window(5, 20)):
+            clone = pickle.loads(pickle.dumps(tr))
+            assert isinstance(clone, Trace) and clone is not tr
+            for col in COLUMNS:
+                assert getattr(clone, col).dtype == getattr(tr, col).dtype
+                assert getattr(clone, col).tobytes() == getattr(tr, col).tobytes()
+            assert (clone.digest, clone.offset, clone.max_procs) == (
+                tr.digest, tr.offset, tr.max_procs,
+            )
+
+    def test_unpickled_columns_stay_read_only(self, trace):
+        clone = pickle.loads(pickle.dumps(trace))
+        for col in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(clone, col)[0] = 0
+
+    def test_digest_travels_instead_of_being_rehashed(self, trace, monkeypatch):
+        blob = pickle.dumps(trace)
+
+        def rehash(self):
+            raise AssertionError("digest recomputed on unpickle")
+
+        monkeypatch.setattr(Trace, "_column_digest", rehash)
+        assert pickle.loads(blob).digest == trace.digest
 
 
 class TestMoldabilityModels:
