@@ -6,7 +6,9 @@ classical order for ``sum w_i C_i`` on identical machines — decreasing
 exactly the opposite reading of the paper's ambiguous LPTF sentence (see
 :mod:`repro.algorithms.list_graham`), and our reproduction found it to be
 a genuinely strong minsum heuristic at heavy load: on the highly-parallel
-workload at ``n = 2m`` it overtakes DEMT (EXPERIMENTS.md, delta 2).
+workload at ``n = 2m`` it overtakes DEMT (at ``m = 200``, 40 runs, seed
+2004: minsum ratio 2.01 against DEMT's 2.50; pinned at ``m = 48`` by
+``tests/algorithms/test_wspt.py::TestWspt::test_overtakes_demt_at_heavy_load``).
 
 Allotments come from the dual approximation, like the other list
 baselines; only the order differs.

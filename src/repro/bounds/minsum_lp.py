@@ -16,7 +16,7 @@ Every feasible schedule induces a feasible ``x`` whose objective does not
 exceed its minsum, so the LP optimum — and a fortiori the relaxed optimum —
 lower-bounds the optimal ``sum w_i C_i``.
 
-Three strictness refinements to the published text (recorded in DESIGN.md):
+Three strictness refinements to the published text:
 
 * a **leading interval** ``(0, t_0]`` — the paper's grid starts at
   ``t_0 > 0``, and a task completing before ``t_0`` would otherwise be

@@ -250,20 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="feasibility-check every replayed schedule",
     )
-    # The executor flags again, so they may also follow the subcommand
-    # (SUPPRESS: only overwrite the top-level value when actually given).
-    replay.add_argument(
-        "--backend", choices=list(BACKENDS), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    replay.add_argument(
-        "--jobs", type=_positive_int, default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    replay.add_argument(
-        "--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
-    _add_obs_flags(replay)
+    _add_repeated_flags(replay)
 
     pareto = sub.add_parser(
         "pareto",
@@ -330,18 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--charts", action="store_true", default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
     )
-    pareto.add_argument(
-        "--backend", choices=list(BACKENDS), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    pareto.add_argument(
-        "--jobs", type=_positive_int, default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    pareto.add_argument(
-        "--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
-    _add_obs_flags(pareto)
+    _add_repeated_flags(pareto)
 
     from repro.faults.campaign import ROBUSTNESS_ENGINES
 
@@ -434,32 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="kill and retry any cell attempt exceeding this wall-clock budget",
     )
-    robust.add_argument(
-        "--backend", choices=list(BACKENDS), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    robust.add_argument(
-        "--jobs", type=_positive_int, default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    robust.add_argument(
-        "--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
-    _add_obs_flags(robust)
+    _add_repeated_flags(robust)
     return parser
 
 
-def _add_obs_flags(sub: argparse.ArgumentParser) -> None:
-    """The observability flags again, so they may follow the subcommand
-    (SUPPRESS: only overwrite the top-level value when actually given)."""
-    sub.add_argument(
-        "--trace", dest="trace_out", default=argparse.SUPPRESS,
-        metavar="FILE", help=argparse.SUPPRESS,
-    )
-    sub.add_argument(
-        "--metrics", action="store_true", default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
+def _add_repeated_flags(sub: argparse.ArgumentParser) -> None:
+    """The executor and observability flags again, so they may also
+    follow the subcommand (SUPPRESS: only overwrite the top-level value
+    when actually given)."""
+    hidden = dict(default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    sub.add_argument("--backend", choices=list(BACKENDS), **hidden)
+    sub.add_argument("--jobs", type=_positive_int, **hidden)
+    sub.add_argument("--cache-dir", **hidden)
+    sub.add_argument("--trace", dest="trace_out", metavar="FILE", **hidden)
+    sub.add_argument("--metrics", action="store_true", **hidden)
 
 
 def _parse_window(spec: str | None) -> tuple[int, int] | None:

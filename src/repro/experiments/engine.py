@@ -30,14 +30,17 @@ makes the three execution backends interchangeable:
 
 Every backend optionally takes a :class:`RetryPolicy`, which turns it
 crash-tolerant: failed cell attempts are retried with exponential backoff
-and deterministic jitter, a cell still failing after its attempt budget is
-**quarantined** (recorded as a :class:`CellFailure` instead of aborting
-the campaign — surfaced as :attr:`CellOutcome.error`), each attempt is
-bounded by a per-cell timeout (process backend; a hung worker is killed
-with its pool), and a pool that keeps dying degrades gracefully to
-in-process execution.  Because cell results are pure functions of their
-keys, a record produced on a retry is bit-identical to a first-try record
-— crash-tolerance never changes the numbers.
+and deterministic jitter, and a cell still failing after its attempt
+budget is **quarantined** (recorded as a :class:`CellFailure` instead of
+aborting the campaign — surfaced as :attr:`CellOutcome.error`).  Under a
+policy the two pool backends run every cell through their pool, so a
+per-cell timeout bounds each attempt: the process backend kills a hung
+worker with its pool, the thread backend abandons it, and the serial
+backend cannot preempt and ignores the timeout.  A process pool that
+breaks twice in one ``map`` call degrades to in-process execution of the
+rest.  Because cell results are pure functions of their keys, a record
+produced on a retry is bit-identical to a first-try record —
+crash-tolerance never changes the numbers.
 
 The :class:`CellCache` memoises per-cell records and per-instance lower
 bounds, so repeated campaigns — sweeps over algorithm subsets, ablations
@@ -56,7 +59,6 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -615,8 +617,6 @@ def _maybe_inject_crash() -> None:
         except FileExistsError:
             continue
         os.close(fd)
-        import multiprocessing
-
         if multiprocessing.parent_process() is not None:
             os._exit(23)  # a pool worker: die like a real crash
         raise RuntimeError("injected crash (REPRO_INJECT_CRASH)")
@@ -628,29 +628,74 @@ def _guarded_call(fn: Callable, item: object):
     return fn(item)
 
 
-def _attempts_in_process(
-    fn: Callable, item: object, index: int, attempt: int, policy: RetryPolicy
+def _submit(pool, fn: Callable, item: object):
+    """Submit one attempt; ``None`` when a worker death broke the pool
+    while its round was still being submitted."""
+    try:
+        return pool.submit(_guarded_call, fn, item)
+    except BrokenProcessPool:
+        return None
+
+
+#: Failure message of an attempt that outlived ``RetryPolicy.timeout``.
+_TIMED_OUT = "cell attempt timed out"
+
+
+def _attempt_failed(
+    policy: RetryPolicy, index: int, attempt: int, message: str
+) -> "CellFailure | None":
+    """Register a failed attempt of cell ``index`` after ``attempt``
+    earlier ones: count it, log it and back off, or quarantine the cell.
+
+    Returns the cell's :class:`CellFailure` once its attempts are spent,
+    else ``None`` and the caller retries at ``attempt + 1``.  Every
+    backend goes through here, so the retry arithmetic, the
+    ``cells.retries`` / ``cells.quarantined`` / ``cells.timeouts``
+    counters and the ``[engine]`` lines (CI greps them) cannot drift
+    apart between backends.
+    """
+    attempt += 1
+    state = obs.ACTIVE
+    if state is not None and message == _TIMED_OUT:
+        state.count("cells.timeouts")
+    if attempt >= policy.attempts:
+        _log(f"cell {index} quarantined after {attempt} attempts: {message}")
+        if state is not None:
+            state.count("cells.quarantined")
+        return CellFailure(message, attempts=attempt)
+    if state is not None:
+        state.count("cells.retries")
+    delay = policy.delay(attempt, index)
+    _log(
+        f"cell {index} failed (attempt {attempt}/{policy.attempts}): "
+        f"{message}; retrying in {delay:.2f}s"
+    )
+    time.sleep(delay)
+    return None
+
+
+def _run_in_process(
+    fn: Callable, item: object, index: int, attempt: int,
+    policy: "RetryPolicy | None",
 ):
-    """Run one cell in-process under the retry policy, from ``attempt``."""
+    """Run one cell in this process.
+
+    Without a policy this is the plain call: a worker exception
+    propagates.  Under one, attempts run from ``attempt`` on until one
+    succeeds or the cell is quarantined; no timeout applies here.  The
+    serial backend, a pool backend's no-policy shortcut and the tail
+    after repeated pool deaths all run their cells through this.
+    """
+    if policy is None:
+        return fn(item)
     while True:
         try:
             return _guarded_call(fn, item)
         except Exception as exc:
+            failure = _attempt_failed(policy, index, attempt, str(exc))
+            if failure is not None:
+                return failure
             attempt += 1
-            state = obs.ACTIVE
-            if attempt >= policy.attempts:
-                _log(f"cell {index} quarantined after {attempt} attempts: {exc}")
-                if state is not None:
-                    state.count("cells.quarantined")
-                return CellFailure(str(exc), attempts=attempt)
-            if state is not None:
-                state.count("cells.retries")
-            delay = policy.delay(attempt, index)
-            _log(
-                f"cell {index} failed (attempt {attempt}/{policy.attempts}): "
-                f"{exc}; retrying in {delay:.2f}s"
-            )
-            time.sleep(delay)
 
 
 # ---------------------------------------------------------------------- #
@@ -887,26 +932,128 @@ class SerialBackend:
         self.policy = policy
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        if self.policy is None:
-            return [fn(item) for item in items]
         return [
-            _attempts_in_process(fn, item, i, 0, self.policy)
+            _run_in_process(fn, item, i, 0, self.policy)
             for i, item in enumerate(items)
         ]
 
 
-class ThreadBackend:
+class _PoolBackend:
+    """The fan-out shared by the thread and process backends.
+
+    :meth:`map` takes one of three paths.  Without a policy, a single
+    cell or ``jobs == 1`` runs in-process, and anything larger goes
+    through the pool's own chunked ``map`` (one submit per cell measured
+    about 8% slower on a 120-cell process campaign at ``jobs=2``; see
+    docs/PERFORMANCE.md).  Under a policy every cell goes through the
+    pool, with one worker at ``jobs == 1``, so the timeout bounds every
+    attempt (:meth:`_rounds`).  The two pools differ only in their
+    executor and in what a timeout does to the pool (:meth:`_timed_out`).
+    """
+
+    #: Broken pools tolerated in one ``map`` call before the rest runs
+    #: in-process.  Only a process pool breaks; a timeout is no death.
+    max_pool_deaths = 2
+    executor: type
+
+    def __init__(
+        self, jobs: int | None = None, policy: "RetryPolicy | None" = None
+    ) -> None:
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs if jobs is not None else default_worker_count()
+        self.policy = policy
+
+    def map(self, fn: Callable, items: Iterable) -> list:
+        items = list(items)
+        if self.policy is not None:
+            return self._rounds(fn, items)
+        if len(items) <= 1 or self.jobs == 1:
+            return SerialBackend().map(fn, items)
+        workers = min(self.jobs, len(items))
+        chunksize = max(1, len(items) // (4 * workers))
+        with self.executor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+
+    def _rounds(self, fn: Callable, items: list) -> list:
+        """Crash-tolerant fan-out: retry, timeout and quarantine.
+
+        Each round submits every pending cell to a fresh pool and
+        collects the results in item order, so every item ends with
+        exactly one result (a worker return value or a
+        :class:`CellFailure`).  A failed attempt is charged to the cell
+        whose future surfaced it (:func:`_attempt_failed`), which is
+        retried next round.  The cells a timeout or a broken pool
+        interrupts — never submitted, cancelled before they started, or
+        unfinished when the pool went — are requeued at their current
+        attempt count.  After :attr:`max_pool_deaths` broken pools the
+        rest runs in-process, where no timeout applies.
+        """
+        policy = self.policy
+        results: dict[int, object] = {}
+        pending = [(i, 0) for i in range(len(items))]
+        deaths = 0
+        while pending:
+            if deaths >= self.max_pool_deaths:
+                _log(
+                    f"process pool died {deaths} times; degrading to "
+                    f"serial execution of {len(pending)} remaining cells"
+                )
+                for i, attempt in pending:
+                    results[i] = _run_in_process(fn, items[i], i, attempt, policy)
+                break
+            cells, pending = pending, []
+            pool = self.executor(max_workers=min(self.jobs, len(cells)))
+            futures = [(i, attempt, _submit(pool, fn, items[i]))
+                       for i, attempt in cells]
+            gone = False  # the pool is dead: no unfinished cell will finish
+            try:
+                for i, attempt, fut in futures:
+                    if fut is None or fut.cancelled() or (gone and (
+                        not fut.done() or fut.exception() is not None
+                    )):
+                        pending.append((i, attempt))  # interrupted, uncharged
+                        continue
+                    try:
+                        results[i] = fut.result(timeout=policy.timeout)
+                        continue
+                    except FutureTimeout:
+                        gone = self._timed_out(pool)
+                        message = _TIMED_OUT
+                    except BrokenProcessPool:
+                        gone = True
+                        deaths += 1
+                        message = "worker process died (pool broken)"
+                    except Exception as exc:  # the worker raised
+                        message = str(exc)
+                    failure = _attempt_failed(policy, i, attempt, message)
+                    if failure is None:
+                        pending.append((i, attempt + 1))
+                    else:
+                        results[i] = failure
+            finally:
+                pool.shutdown(wait=False, cancel_futures=True)
+        return [results[i] for i in range(len(items))]
+
+    @staticmethod
+    def _timed_out(pool) -> bool:
+        """Act on a timed-out attempt; ``True`` when the pool is dead."""
+        raise NotImplementedError
+
+
+class ThreadBackend(_PoolBackend):
     """Fan cells out over a thread pool inside this process.
 
     Zero-copy by construction: ``fn`` and the items are shared objects —
-    nothing pickles, and there is no per-worker warmup (the process's imports, compiled kernels and kernel
-    backend selection are already live).  Real parallelism comes from the
-    compiled kernel layer releasing the GIL (:mod:`repro.kernels` with
-    the ``cffi`` backend; NumPy ufuncs release it too), so
-    kernel-bound cells overlap; pure-Python cell families still
-    interleave correctly, just without speedup.  Result order matches
-    item order; records are bit-identical to the serial backend because
-    workers derive everything from their argument tuples.
+    nothing pickles, and there is no per-worker warmup (the process's
+    imports, compiled kernels and kernel backend selection are already
+    live).  Real parallelism comes from the compiled kernel layer
+    releasing the GIL (:mod:`repro.kernels` with the ``cffi`` backend;
+    NumPy ufuncs release it too), so kernel-bound cells overlap;
+    pure-Python cell families still interleave correctly, just without
+    speedup.  Result order matches item order; records are bit-identical
+    to the serial backend because workers derive everything from their
+    argument tuples.
 
     With a :class:`RetryPolicy` the fan-out is crash-tolerant with the
     same retry/backoff/quarantine arithmetic as the process backend, with
@@ -915,233 +1062,55 @@ class ThreadBackend:
     marked failed (counted under ``cells.timeouts``, retried or
     quarantined exactly like a process-backend timeout) while the
     abandoned thread keeps running to completion in the background with
-    its eventual result discarded.  A *hung* (never-returning) worker
-    therefore leaks its thread until process exit — use the process
-    backend when workers are untrusted enough to hang forever.  Unlike a
-    pool of processes, the pool itself cannot die: there is no
+    its eventual result discarded.  The round's cells queued behind it
+    are requeued, uncharged, on a fresh pool; the running ones are still
+    waited for.  A *hung* (never-returning) worker therefore leaks its
+    thread, and as interpreter exit joins a pool's threads, the process
+    cannot exit until that call returns — use the process backend when
+    workers are untrusted enough to hang forever.  Unlike a pool of
+    processes, the pool itself cannot die: there is no
     pool-death/degrade-to-serial path here.
     """
 
     name = "thread"
+    executor = ThreadPoolExecutor
 
-    def __init__(
-        self, jobs: int | None = None, policy: "RetryPolicy | None" = None
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs if jobs is not None else default_worker_count()
-        self.policy = policy
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        if self.policy is not None:
-            return self._resilient_map(fn, items)
-        if len(items) <= 1 or self.jobs == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-
-    # -- crash-tolerant fan-out ----------------------------------------- #
-    def _resilient_map(self, fn: Callable, items: list) -> list:
-        """Submit-based fan-out with retry, timeout and quarantine.
-
-        Same invariants as :meth:`ProcessBackend._resilient_map` — every
-        item ends with exactly one result (worker return value or
-        :class:`CellFailure`) in item order — minus the pool-death
-        machinery (threads share this process; the pool cannot break).
-        A timed-out attempt is registered as failed and its future
-        abandoned; retries are resubmitted to a fresh pool so abandoned
-        threads cannot starve them of workers.
-        """
-        policy = self.policy
-        results: dict[int, object] = {}
-        pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(items)))
-
-        while pending:
-            batch = list(pending)
-            pending.clear()
-            pool = ThreadPoolExecutor(max_workers=min(self.jobs, len(batch)))
-            futures = [(i, attempt, pool.submit(_guarded_call, fn, items[i]))
-                       for i, attempt in batch]
-            try:
-                for i, attempt, fut in futures:
-                    try:
-                        results[i] = fut.result(timeout=policy.timeout)
-                    except FutureTimeout:
-                        # Mark-and-abandon: the thread keeps running; its
-                        # eventual result is discarded.
-                        _register_failure(
-                            policy, pending, results, i, attempt,
-                            "cell attempt timed out",
-                        )
-                    except Exception as exc:  # worker raised
-                        _register_failure(
-                            policy, pending, results, i, attempt, str(exc)
-                        )
-            finally:
-                # Don't wait: abandoned (timed-out) threads may still be
-                # running; unstarted futures of this batch were all
-                # consumed above, so cancel_futures is a no-op safety net.
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        return [results[i] for i in range(len(items))]
+    @staticmethod
+    def _timed_out(pool) -> bool:
+        """Abandon the hung thread; cancel the cells not yet started."""
+        pool.shutdown(wait=False, cancel_futures=True)
+        return False
 
 
-class ProcessBackend:
+class ProcessBackend(_PoolBackend):
     """Fan cells out over a process pool.
 
     ``fn`` and every item must be picklable (the campaign workers are
     module-level functions taking plain tuples).  Result order matches
     item order, so aggregation is deterministic regardless of completion
-    order; a single-item batch short-circuits to an in-process call.
+    order; without a policy a single-item batch short-circuits to an
+    in-process call, and larger ones ship to the workers in chunks.
 
     With a :class:`RetryPolicy` the fan-out is crash-tolerant (see
-    :meth:`_resilient_map`): worker deaths and per-cell timeouts cost a
-    retry instead of the campaign, and a pool that dies twice degrades
-    to in-process execution of whatever is left.
+    :meth:`_PoolBackend._rounds`): worker deaths and per-cell timeouts
+    cost a retry instead of the campaign.  A timeout kills the hung
+    worker with its pool; a pool that breaks (``BrokenProcessPool``)
+    :attr:`max_pool_deaths` times in one ``map`` call degrades to
+    in-process execution of whatever is left.
     """
 
     name = "process"
+    executor = ProcessPoolExecutor
 
-    #: Pool deaths tolerated before degrading to in-process execution.
-    max_pool_deaths = 2
-
-    def __init__(
-        self, jobs: int | None = None, policy: "RetryPolicy | None" = None
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs if jobs is not None else default_worker_count()
-        self.policy = policy
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        if self.policy is not None:
-            return self._resilient_map(fn, items)
-        if len(items) <= 1 or self.jobs == 1:
-            return [fn(item) for item in items]
-        workers = min(self.jobs, len(items))
-        chunksize = max(1, len(items) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-
-    # -- crash-tolerant fan-out ----------------------------------------- #
-    def _resilient_map(self, fn: Callable, items: list) -> list:
-        """Submit-based fan-out with retry, timeout and quarantine.
-
-        Invariants: every item ends up with exactly one result (a worker
-        return value or a :class:`CellFailure`) in item order; a pool
-        death (``BrokenProcessPool``, or a timeout — the hung worker is
-        killed with its pool) penalises only the cell whose future
-        surfaced it, and requeues the other unfinished cells at their
-        current attempt count; after :attr:`max_pool_deaths` deaths the
-        remainder runs in-process, where attribution is exact.
-        """
-        policy = self.policy
-        results: dict[int, object] = {}
-        pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(items)))
-        pool_deaths = 0
-
-        while pending:
-            if pool_deaths >= self.max_pool_deaths or self.jobs == 1:
-                if pool_deaths:
-                    _log(
-                        f"process pool died {pool_deaths} times; degrading to "
-                        f"serial execution of {len(pending)} remaining cells"
-                    )
-                while pending:
-                    i, attempt = pending.popleft()
-                    results[i] = _attempts_in_process(
-                        fn, items[i], i, attempt, policy
-                    )
-                break
-
-            batch = list(pending)
-            pending.clear()
-            pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(batch)))
-            futures = [(i, attempt, pool.submit(_guarded_call, fn, items[i]))
-                       for i, attempt in batch]
-            died = False
+    @staticmethod
+    def _timed_out(pool) -> bool:
+        """Hard-kill the pool's workers (a hung cell cannot be cancelled)."""
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
             try:
-                for pos, (i, attempt, fut) in enumerate(futures):
-                    if died:
-                        # The pool is gone: salvage finished futures, requeue
-                        # the rest at their current attempt count.
-                        if fut.done() and fut.exception() is None:
-                            results[i] = fut.result()
-                        else:
-                            pending.append((i, attempt))
-                        continue
-                    try:
-                        results[i] = fut.result(timeout=policy.timeout)
-                    except FutureTimeout:
-                        _kill_pool(pool)
-                        died = True
-                        pool_deaths += 1
-                        _register_failure(
-                            policy, pending, results, i, attempt,
-                            "cell attempt timed out",
-                        )
-                    except BrokenProcessPool:
-                        died = True
-                        pool_deaths += 1
-                        _register_failure(
-                            policy, pending, results, i, attempt,
-                            "worker process died (pool broken)",
-                        )
-                    except Exception as exc:  # worker raised; pool is healthy
-                        _register_failure(
-                            policy, pending, results, i, attempt, str(exc)
-                        )
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        return [results[i] for i in range(len(items))]
-
-
-def _register_failure(
-    policy: RetryPolicy,
-    pending: "deque[tuple[int, int]]",
-    results: dict,
-    index: int,
-    attempt: int,
-    message: str,
-) -> None:
-    """One failed attempt: retry with backoff, or quarantine.
-
-    Shared by the process and thread backends so the retry arithmetic,
-    the quarantine threshold, the obs counter keys and the stderr
-    messages (CI greps them) stay identical across backends.
-    """
-    attempt += 1
-    state = obs.ACTIVE
-    if state is not None and message == "cell attempt timed out":
-        state.count("cells.timeouts")
-    if attempt >= policy.attempts:
-        _log(f"cell {index} quarantined after {attempt} attempts: {message}")
-        if state is not None:
-            state.count("cells.quarantined")
-        results[index] = CellFailure(message, attempts=attempt)
-        return
-    if state is not None:
-        state.count("cells.retries")
-    delay = policy.delay(attempt, index)
-    _log(
-        f"cell {index} failed (attempt {attempt}/{policy.attempts}): "
-        f"{message}; retrying in {delay:.2f}s"
-    )
-    time.sleep(delay)
-    pending.append((index, attempt))
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-kill a pool's workers (a hung cell cannot be cancelled)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.kill()
-        except Exception:  # pragma: no cover - already dead
-            pass
+                proc.kill()
+            except Exception:  # pragma: no cover - already dead
+                pass
+        return True
 
 
 #: Backend name -> factory.

@@ -28,11 +28,10 @@ non-increasing, so the induced tasks are monotonic.
 
 Parameter distributions.  The survey fit of Cirne–Berman draws the *log* of
 ``A`` uniformly (jobs span the whole range of parallelism on a log scale)
-and ``sigma`` uniformly over a small interval.  We use ``log2(A) ~
-U(0, log2(m))`` and ``sigma ~ U(0, 2)``; the substitution is recorded in
-DESIGN.md.  The SPAA'04 paper combines this with uniform(1, 10) sequential
-times ("Only the uniform(1, 10) sequential time model is used for these
-tasks").
+and ``sigma`` uniformly over a small interval.  We substitute ``log2(A) ~
+U(0, log2(m))`` and ``sigma ~ U(0, 2)``.  The SPAA'04 paper combines this
+with uniform(1, 10) sequential times ("Only the uniform(1, 10) sequential
+time model is used for these tasks").
 """
 
 from __future__ import annotations

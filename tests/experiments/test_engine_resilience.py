@@ -8,13 +8,20 @@ Pinned here:
   :attr:`CellOutcome.error`, never an abort);
 * worker-death recovery: an injected hard crash (``REPRO_INJECT_CRASH``)
   breaks the pool, the cell is retried, and the final results are
-  bit-identical to a serial run;
+  bit-identical to a serial run, also when the pool breaks before its
+  round is fully submitted;
 * per-cell timeouts: the process backend kills the hung worker's pool;
   the thread backend marks the cell failed and abandons the worker
   thread (threads cannot be killed) — either way the cell quarantines
   and nobody waits for the full hang;
 * a pool that keeps dying degrades to in-process execution and still
   completes every cell;
+* the timeout holds on every attempt of a pool backend under a policy:
+  at ``jobs == 1``, for a single cell, after earlier timeouts (which are
+  no pool deaths), and for thread cells queued behind a hung one (they
+  are requeued, not charged);
+* one fan-out under three backends: the same failing items give equal
+  results, attempt counts, ``[engine]`` lines and obs counters;
 * :func:`default_worker_count` honours the scheduler affinity mask and
   falls back to ``os.cpu_count()``.
 """
@@ -24,9 +31,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.experiments.engine import (
     CellFailure,
     CellKey,
@@ -86,6 +95,65 @@ def _nap_if_zero(x):
     if x == 0:
         time.sleep(3.0)
     return x * 2
+
+
+def _nap_if_below_two(x):
+    """Two finite hangs (items 0 and 1) ahead of a healthy item 2."""
+    if x < 2:
+        time.sleep(3.0)
+    return x * 2
+
+
+def _flaky(args):
+    """Fail for good on a negative item, and once per marker path."""
+    x, marker = args
+    if x < 0:
+        raise ValueError(f"bad item {x}")
+    if marker is not None and not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("attempted")
+        raise RuntimeError("first attempt fails")
+    return x * 2
+
+
+class _BreaksMidSubmission(ProcessPoolExecutor):
+    """A process pool whose second submit waits, once while ``armed``,
+    until the first cell's worker death has broken the pool."""
+
+    armed = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        if type(self).armed and getattr(self, "_submits", 0) == 1:
+            type(self).armed = False
+            deadline = time.monotonic() + 10.0
+            while not self._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+        self._submits = getattr(self, "_submits", 0) + 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class _SubmitRaceBackend(ProcessBackend):
+    executor = _BreaksMidSubmission
+
+
+def _observed_map(backend, fn, items, capsys):
+    """``backend.map`` with fresh obs counters; returns the results, the
+    sorted ``[engine]`` stderr lines and the three crash counters."""
+    capsys.readouterr()
+    state = obs.enable(fresh=True)
+    try:
+        out = backend.map(fn, items)
+    finally:
+        obs.disable()
+    lines = sorted(
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("[engine]")
+    )
+    counts = {
+        name: state.counters.get(name, 0)
+        for name in ("cells.retries", "cells.quarantined", "cells.timeouts")
+    }
+    return out, lines, counts
 
 
 class TestRetryPolicy:
@@ -162,6 +230,25 @@ class TestProcessResilience:
         assert (marker / "crash-0").exists()
         assert "pool broken" in capsys.readouterr().err
 
+    def test_worker_death_during_submission_is_survived(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A worker that dies before its round is fully submitted makes
+        ``submit`` raise ``BrokenProcessPool``: the unsent cells are
+        requeued instead of the error aborting ``map``."""
+        marker = tmp_path / "markers"
+        marker.mkdir()
+        monkeypatch.setenv("REPRO_INJECT_CRASH", str(marker))
+        monkeypatch.setenv("REPRO_INJECT_CRASH_COUNT", "1")
+        monkeypatch.setattr(_BreaksMidSubmission, "armed", True)
+        backend = _SubmitRaceBackend(
+            jobs=2, policy=RetryPolicy(retries=2, backoff=0.0)
+        )
+        out = backend.map(_double, list(range(6)))
+        assert out == [x * 2 for x in range(6)]
+        assert not _BreaksMidSubmission.armed  # the second submit waited
+        assert "pool broken" in capsys.readouterr().err
+
     def test_timeout_kills_and_quarantines_the_hung_cell(self, capsys):
         backend = ProcessBackend(
             jobs=2, policy=RetryPolicy(retries=0, backoff=0.0, timeout=1.0)
@@ -179,6 +266,36 @@ class TestProcessResilience:
         out = backend.map(_die_in_pool, [1, 2, 3])
         assert out == [2, 4, 6]  # completed in-process after degradation
         assert "degrading to serial execution" in capsys.readouterr().err
+
+    def test_no_policy_propagates(self):
+        with pytest.raises(ValueError):
+            ProcessBackend(jobs=2).map(_fail_if_negative, [1, -1])
+
+    def test_timeout_holds_at_one_worker(self, capsys):
+        """Under a policy ``jobs == 1`` still runs a (one-worker) pool,
+        so the timeout is enforced instead of waiting out the nap."""
+        backend = ProcessBackend(
+            jobs=1, policy=RetryPolicy(retries=0, backoff=0.0, timeout=0.5)
+        )
+        start = time.monotonic()
+        out = backend.map(_nap_if_zero, [0, 1])
+        assert time.monotonic() - start < 2.5
+        assert isinstance(out[0], CellFailure)
+        assert "timed out" in out[0].message
+        assert out[1] == 2
+
+    def test_timeouts_are_not_pool_deaths(self, capsys):
+        """Every attempt of a hung cell times out, however many pools the
+        kills cost: it quarantines after all four attempts instead of
+        degrading to an in-process run with no timeout."""
+        backend = ProcessBackend(
+            jobs=2, policy=RetryPolicy(retries=3, backoff=0.0, timeout=0.5)
+        )
+        out = backend.map(_nap_if_zero, [0, 1, 2])
+        assert isinstance(out[0], CellFailure)
+        assert out[0].attempts == 4
+        assert out[1] == 2 and out[2] == 4
+        assert "degrading" not in capsys.readouterr().err
 
     def test_serial_and_process_agree_under_policy(self):
         policy = RetryPolicy(retries=1, backoff=0.0)
@@ -228,12 +345,79 @@ class TestThreadResilience:
         assert out[1] == 2 and out[2] == 4
         assert "quarantined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "jobs, fn, hung", [(1, _nap_if_zero, 1), (2, _nap_if_below_two, 2)]
+    )
+    def test_cells_queued_behind_a_timeout_are_requeued(
+        self, capsys, jobs, fn, hung
+    ):
+        """A cell that had not started when another timed out is not
+        charged that timeout: it reruns on a fresh pool."""
+        backend = ThreadBackend(
+            jobs=jobs, policy=RetryPolicy(retries=0, backoff=0.0, timeout=0.5)
+        )
+        start = time.monotonic()
+        out = backend.map(fn, [0, 1, 2])
+        assert time.monotonic() - start < 2.5
+        assert all(isinstance(r, CellFailure) for r in out[:hung])
+        assert out[hung:] == [2 * x for x in range(hung, 3)]
+
     def test_serial_and_thread_agree_under_policy(self):
         policy = RetryPolicy(retries=1, backoff=0.0)
         items = list(range(8))
         serial = SerialBackend(policy).map(_double, items)
         thread = ThreadBackend(jobs=2, policy=policy).map(_double, items)
         assert serial == thread
+
+
+class TestOneFanOut:
+    """The three backends run one retry loop: the same items under the
+    same policy fail, retry, log and count identically on each."""
+
+    def test_failures_agree_across_backends(self, tmp_path, capsys):
+        policy = RetryPolicy(retries=2, backoff=0.0)
+        runs = {}
+        for backend in (
+            SerialBackend(policy),
+            ThreadBackend(jobs=2, policy=policy),
+            ProcessBackend(jobs=2, policy=policy),
+        ):
+            marker = str(tmp_path / f"{backend.name}-marker")
+            items = [(1, None), (-2, None), (3, marker), (-4, None), (5, None)]
+            runs[backend.name] = _observed_map(backend, _flaky, items, capsys)
+        out, lines, counts = runs["serial"]
+        assert out[0] == 2 and out[2] == 6 and out[4] == 10
+        assert out[1] == CellFailure("bad item -2", attempts=3)
+        assert out[3] == CellFailure("bad item -4", attempts=3)
+        assert counts == {
+            "cells.retries": 5, "cells.quarantined": 2, "cells.timeouts": 0
+        }
+        assert len(lines) == 7
+        assert runs["thread"] == runs["serial"] == runs["process"]
+
+    def test_timeouts_agree_on_thread_and_process(self, capsys):
+        policy = RetryPolicy(retries=1, backoff=0.0, timeout=0.5)
+        thread = _observed_map(
+            ThreadBackend(jobs=2, policy=policy), _nap_if_zero, [0, 1, 2], capsys
+        )
+        process = _observed_map(
+            ProcessBackend(jobs=2, policy=policy), _nap_if_zero, [0, 1, 2], capsys
+        )
+        out, lines, counts = thread
+        assert out == [CellFailure("cell attempt timed out", attempts=2), 2, 4]
+        assert counts["cells.timeouts"] == 2
+        assert thread == process
+
+    @pytest.mark.parametrize("backend", [ThreadBackend, ProcessBackend])
+    def test_single_cell_under_policy_runs_in_the_pool(self, backend):
+        """The in-process shortcut for one cell applies only without a
+        policy: under one, the pool enforces the timeout."""
+        policy = RetryPolicy(retries=0, backoff=0.0, timeout=0.5)
+        start = time.monotonic()
+        out = backend(jobs=2, policy=policy).map(_nap_if_zero, [0])
+        assert time.monotonic() - start < 2.5
+        assert isinstance(out[0], CellFailure)
+        assert "timed out" in out[0].message
 
 
 class TestDefaultWorkerCount:

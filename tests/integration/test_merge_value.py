@@ -4,9 +4,9 @@ What the merge actually does: it converts short sequential tasks into
 allotment-1 stacks so a batch's knapsack can pack *more total weight* into
 its ``m``-processor budget.  The flip side is that stack members run
 back-to-back on one processor instead of side by side, so the merge is
-not automatically a minsum win — our measurements (here and ablation A2 in
-EXPERIMENTS.md) find it roughly neutral on the minsum criterion, within a
-few percent either way.  These tests pin the *mechanism* (stacks are
+not automatically a minsum win — our measurements (here and ablation A2,
+``python -m repro.experiments.cli --ablation merge``) find it roughly
+neutral on the minsum criterion, within a few percent either way.  These tests pin the *mechanism* (stacks are
 formed and used, the weight-per-batch capacity grows, heavy short jobs
 finish early) and bound the downside, rather than asserting a superiority
 the data does not support.

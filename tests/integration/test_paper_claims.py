@@ -4,7 +4,8 @@ The benchmarks verify these at paper scale; this suite pins the same
 qualitative shapes at a small, seconds-scale configuration so a regression
 cannot hide behind the bench being skipped.  Scales chosen such that every
 assertion held with margin at both this scale and the m=200 paper scale
-(see EXPERIMENTS.md for the measured values).
+(``python -m repro.experiments.cli --figure N --scale paper`` prints the
+measured values of Figure N, N = 3-6).
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ step or recipe line behind.  Paths are matched under ``benchmarks/``,
 ``tests/``, ``src/`` and ``examples/``; a ``::test`` suffix is dropped,
 and a ``*`` pattern must match at least one file.  Bench outputs
 (``*.new.json``) are written by runs, not checked in.
+
+The other direction holds too: every ``*.md`` file that a Python file
+under those four roots names exists somewhere in the repository (a bare
+name matches a file of that name in any directory).
 """
 
 from __future__ import annotations
@@ -50,6 +54,35 @@ def test_cited_paths_exist(doc):
     assert not missing, "\n".join(missing)
 
 
+#: A Markdown file named in program text, with any directories before it;
+#: leading ``./`` and ``../`` are dropped.
+MD_NAME = re.compile(r"(?<![\w./-])(?:\.\.?/)*([\w./-]*[\w-]\.md)\b")
+
+
+def markdown_files() -> list[str]:
+    """The repository's ``*.md`` paths, outside caches and ``.git``: a
+    hidden directory counts only when a file of ``CITING`` lives in it."""
+    keep = {path.relative_to(ROOT).parts[0] for path in CITING}
+    return [
+        rel.as_posix()
+        for rel in (p.relative_to(ROOT) for p in ROOT.rglob("*.md"))
+        if not any(part.startswith(".") and part not in keep for part in rel.parts)
+    ]
+
+
+@pytest.mark.parametrize("root", ["src", "tests", "benchmarks", "examples"])
+def test_markdown_named_in_python_exists(root):
+    known = markdown_files()
+    missing = [
+        f"{py.relative_to(ROOT)}:{lineno}: {name}"
+        for py in sorted((ROOT / root).rglob("*.py"))
+        for lineno, line in enumerate(py.read_text().splitlines(), start=1)
+        for name in MD_NAME.findall(line)
+        if not any(path == name or path.endswith("/" + name) for path in known)
+    ]
+    assert not missing, "\n".join(missing)
+
+
 def test_the_pattern_reads_links_and_test_ids():
     line = "see [x](../benchmarks/suite/run.py), tests/a/b.py::test_c and src/x/."
     assert [m.group(1) for m in CITED.finditer(line)] == [
@@ -57,3 +90,8 @@ def test_the_pattern_reads_links_and_test_ids():
         "tests/a/b.py",
         "src/x/",
     ]
+
+
+def test_the_markdown_pattern_reads_bare_and_relative_names():
+    line = 'recorded in ROADMAP.md; see [x](../docs/ROBUSTNESS.md) or "a.mdx".'
+    assert MD_NAME.findall(line) == ["ROADMAP.md", "docs/ROBUSTNESS.md"]
