@@ -115,6 +115,8 @@ def read_swf(source: str | TextIO) -> list[SwfJob]:
         )
         if not job_id.is_integer():  # False for NaN/inf too
             raise ModelError(f"SWF line {lineno}: non-integer job id {job_id!r}")
+        if job_id >= 2.0**63:  # the columnar loader's int64 ids end here
+            raise ModelError(f"SWF line {lineno}: job id {int(job_id)} does not fit in int64")
         # Truncate *before* the positivity tests (non-finite counts as
         # missing), and spell the run check as `not (run > 0)` so NaN is
         # dropped — all three choices mirror the columnar loader's

@@ -4,15 +4,17 @@ The inner loops that dominate DEMT end-to-end time — the max-weight
 knapsack DP + reconstruction, the binary-choice min-work DP of the dual
 approximation (value only, and with reconstruction), the dual
 approximation's one-λ sweep over the time matrix, and the Graham
-list-scheduling event loop — and two event loops of the on-line
+list-scheduling event loop — two event loops of the on-line
 simulator — the FCFS / EASY-backfilling dispatch of the ``fcfs`` and
 ``fcfs-backfill`` policies, and the crash-and-restart execution of one
-batch of the faulty batch policy — live behind this package's dispatch
-layer.  Two interchangeable backends implement them:
+batch of the faulty batch policy — and the trace plane's scan of SWF
+bytes live behind this package's dispatch layer.  Two interchangeable
+backends implement them:
 
 ``numpy``
     The incumbent pure-NumPy/Python implementations (always available,
-    the reference).
+    the reference).  Its SWF scan always declines, which hands every
+    load to the line path of :mod:`repro.workloads.trace`.
 ``cffi``
     The same loops as C, compiled on first import via :mod:`cffi` and a C
     toolchain (both optional), cached on disk by source hash.
@@ -68,6 +70,7 @@ __all__ = [
     "fcfs_starts_core",
     "faulty_batch_core",
     "same_faulty_batch",
+    "swf_scan_core",
     "LOG_BATCH_STARTED",
     "LOG_STARTED",
     "LOG_COMPLETED",
@@ -87,7 +90,8 @@ def _smoke(mod) -> None:
     tiny fixed corpus (one exercise per kernel, including a tie, an
     infeasible option, a FINISH and an ARRIVAL sharing a window, a
     backfill, and a crash, a deferral, a stale FINISH and a RESERVE
-    sharing a window with STARTs)."""
+    sharing a window with STARTs), and scans a small SWF document the
+    way the line path reads it."""
     allot = np.array([2, 2, 3, 1, 7], dtype=np.int64)
     weights = np.array([5.0, 4.0, 6.0, 0.25, 9.0], dtype=np.float64)
     ref = _numpy_backend.knapsack_select_core(allot, weights, 6)
@@ -167,6 +171,28 @@ def _smoke(mod) -> None:
     got_b = mod.faulty_batch_core(*batch)
     if not same_faulty_batch(got_b, ref_b):
         raise ImportError(f"{mod.name} faulty batch mismatch: {got_b} != {ref_b}")
+
+    # A header, an indented comment, a blank line, a 17-digit value, -0
+    # and 1e-5, tabs and a CRLF: the scan must take the document and
+    # read what the line path's np.loadtxt reads.
+    doc = (
+        b"; MaxProcs: 64\n  ; note\n\n"
+        b"1 0.26040773895023467 -1 -0 28 -1 -1 28 -1 -1 1\n"
+        b"2\t1e-5  0.5 2.5 4 -1 -1 4 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\r\n"
+    )
+    rows = np.zeros((4, 6), dtype=np.float64)
+    spans = np.zeros((4, 2), dtype=np.int64)
+    got_w = mod.swf_scan_core(doc, 0, rows, spans)
+    ref_w = np.loadtxt(
+        [line for line in doc.decode().splitlines() if line.strip()[:1] not in ("", ";")],
+        dtype=np.float64, usecols=(0, 1, 2, 3, 4, 7), comments=None, ndmin=2,
+    )
+    if (
+        got_w != (2, 2, len(doc))
+        or rows[:2].tobytes() != ref_w.tobytes()
+        or [doc[s:e] for s, e in spans[:2].tolist()] != [b"; MaxProcs: 64", b"; note"]
+    ):
+        raise ImportError(f"{mod.name} swf scan mismatch: {got_w} {rows[:2]} != {ref_w}")
 
 
 def same_faulty_batch(a, b) -> bool:
@@ -351,3 +377,10 @@ def faulty_batch_core(
         witnessed,
         eps,
     )
+
+
+def swf_scan_core(buf, start, rows, spans):
+    """Dispatch: scan whole SWF lines into record rows and comment spans,
+    or ``None`` to decline.  Not tallied: its caller, the trace plane's
+    :func:`~repro.workloads.trace.load_trace`, is the layer."""
+    return ACTIVE.swf_scan_core(buf, start, rows, spans)

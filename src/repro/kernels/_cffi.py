@@ -1,4 +1,4 @@
-"""cffi kernel backend: the DEMT inner loops and on-line event loops as C.
+"""cffi kernel backend: the DEMT inner loops, event loops and SWF scan as C.
 
 The C code replicates the NumPy backend's float-op order exactly — IEEE
 double adds and compares in the same sequence — so every DP value, every
@@ -36,6 +36,15 @@ Where the order could matter:
   starts, ends, the horizon and window cuts are the same IEEE additions
   and maxima (``now + offset``, ``start + duration``, ``t0 + eps``).
 
+The SWF scan does no arithmetic to order: each used field is converted
+exactly — Clinger's fast path where the decimal mantissa is at most 2^53
+and the power of ten at most 1e22 (one IEEE multiply or divide of exact
+operands, compiled only where ``FLT_EVAL_METHOD == 0``), ``strtod``
+otherwise — so its doubles are the correctly rounded ones that
+``np.loadtxt`` and Python's ``float`` return.  It declines, rather than
+guesses, on anything the line path of :mod:`repro.workloads.trace` might
+read differently.
+
 The extension module is compiled on first import into a cache directory
 (``REPRO_KERNELS_CACHE``, default ``<tempdir>/repro_kernels``) keyed by a
 hash of the C source, so rebuilds only happen when the source changes and
@@ -66,7 +75,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import SchedulingError
-from repro.kernels._numpy import FaultyBatch, check_faulty_batch_inputs
+from repro.kernels._numpy import (
+    FaultyBatch,
+    check_faulty_batch_inputs,
+    check_swf_scan_inputs,
+)
 
 __all__ = [
     "name",
@@ -77,6 +90,7 @@ __all__ = [
     "graham_starts_core",
     "fcfs_starts_core",
     "faulty_batch_core",
+    "swf_scan_core",
 ]
 
 name = "cffi"
@@ -108,9 +122,13 @@ int64_t repro_faulty_batch(double now, const int64_t *jid, const int64_t *k,
                            const int64_t *cap_delta, int64_t n_cap,
                            double eps, int64_t *istate, double *fstate,
                            int64_t *iout, double *fout);
+int repro_swf_scan(const uint8_t *buf, int64_t len, int64_t start,
+                   double *rows, int64_t row_cap, int64_t *spans,
+                   int64_t span_cap, int64_t *out);
 """
 
 _C_SOURCE = r"""
+#include <float.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -889,6 +907,163 @@ done:
     free(run_start);
     return status;
 }
+
+/* ------------------------------------------------------------------ */
+/* SWF scan: one pass over whole lines of Standard Workload Format     */
+/* bytes from offset start.  Blank lines are skipped, each ';' comment */
+/* line is reported as a span [from its ';', to its line end), and a   */
+/* record is split on space and tab with fields 0, 1, 2, 3, 4 and 7    */
+/* parsed into one row of six doubles.  The scan stops before a line   */
+/* it has no room for (row_cap rows, span_cap spans) and writes the    */
+/* rows and spans it filled and the offset it reached to out[0..2].   */
+/* Returns 0, or -1 to decline wherever the line path could read the  */
+/* bytes differently: a byte >= 0x80, a control byte other than tab   */
+/* (a CR only right before LF), a record of fewer than 8 fields, or a  */
+/* used field outside [+-]digits[.digits][(e|E)[+-]digits] or one      */
+/* strtod does not consume whole.  The buffer ends with '\n', so every */
+/* token is followed by a delimiter and no read passes the buffer.    */
+/* ------------------------------------------------------------------ */
+static const signed char swf_column[8] = {0, 1, 2, 3, 4, -1, -1, 5};
+
+static const double swf_pow10[23] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static inline int swf_text(uint8_t c)
+{
+    return c > ' ' && c < 0x7f;
+}
+
+static inline int swf_digit(uint8_t c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* One used field [s, e) -> *out; 0 on success, -1 to decline.  The    */
+/* fast path is Clinger's: a mantissa of at most 2^53 and a power of   */
+/* ten up to 1e22 are both exact doubles, so one IEEE multiply or      */
+/* divide is correctly rounded, like strtod and Python's float.  It    */
+/* needs doubles evaluated in double precision (FLT_EVAL_METHOD 0).    */
+static int swf_number(const uint8_t *s, const uint8_t *e, double *out)
+{
+    const uint8_t *p = s, *d;
+    int neg = 0, exact = 1;
+    uint64_t mant = 0;
+    int64_t scale = 0, x = 0;
+    if (*p == '+' || *p == '-')
+        neg = *p++ == '-';
+    for (d = p; p < e && swf_digit(*p); p++) {
+        if (mant < UINT64_C(100000000000000000))
+            mant = mant * 10 + (uint64_t)(*p - '0');
+        else
+            exact = 0;
+    }
+    if (p == d)
+        return -1;
+    if (p < e && *p == '.') {
+        for (d = ++p; p < e && swf_digit(*p); p++) {
+            if (mant < UINT64_C(100000000000000000)) {
+                mant = mant * 10 + (uint64_t)(*p - '0');
+                scale--;
+            } else {
+                exact = 0;
+            }
+        }
+        if (p == d)
+            return -1;
+    }
+    if (p < e && (*p == 'e' || *p == 'E')) {
+        int eneg = 0;
+        p++;
+        if (p < e && (*p == '+' || *p == '-'))
+            eneg = *p++ == '-';
+        for (d = p; p < e && swf_digit(*p); p++) {
+            if (x < 100000)
+                x = x * 10 + (*p - '0');
+        }
+        if (p == d)
+            return -1;
+        scale += eneg ? -x : x;
+    }
+    if (p != e)
+        return -1;
+#if defined(FLT_EVAL_METHOD) && FLT_EVAL_METHOD == 0
+    if (exact && mant <= (UINT64_C(1) << 53) && scale >= -22 && scale <= 22) {
+        double v = (double)mant;
+        v = scale < 0 ? v / swf_pow10[-scale] : v * swf_pow10[scale];
+        *out = neg ? -v : v;
+        return 0;
+    }
+#endif
+    char *end;
+    double v = strtod((const char *)s, &end);
+    if ((const uint8_t *)end != e)
+        return -1;
+    *out = v;
+    return 0;
+}
+
+int repro_swf_scan(const uint8_t *buf, int64_t len, int64_t start,
+                   double *rows, int64_t row_cap, int64_t *spans,
+                   int64_t span_cap, int64_t *out)
+{
+    int64_t p = start, nr = 0, ns = 0;
+    while (p < len) {
+        int64_t q = p, r;
+        while (buf[q] == ' ' || buf[q] == '\t')
+            q++;
+        if (buf[q] == '\n' || (buf[q] == '\r' && buf[q + 1] == '\n')) {
+            p = q + (buf[q] == '\r' ? 2 : 1); /* blank line */
+            continue;
+        }
+        if (buf[q] == ';') {
+            if (ns == span_cap)
+                break;
+            for (r = q; buf[r] != '\n'; r++) {
+                if (buf[r] == '\r' && buf[r + 1] == '\n')
+                    break;
+                if (!swf_text(buf[r]) && buf[r] != ' ' && buf[r] != '\t')
+                    return -1;
+            }
+            spans[2 * ns] = q;
+            spans[2 * ns + 1] = r;
+            ns++;
+            p = r + (buf[r] == '\r' ? 2 : 1);
+            continue;
+        }
+        if (nr == row_cap)
+            break;
+        double *row = rows + 6 * nr;
+        int nf = 0;
+        for (r = q;;) {
+            int64_t t = r;
+            while (swf_text(buf[t]))
+                t++;
+            if (t == r)
+                return -1; /* control byte, lone CR or byte >= 0x80 */
+            if (nf < 8 && swf_column[nf] >= 0
+                && swf_number(buf + r, buf + t, row + swf_column[nf]) != 0)
+                return -1;
+            nf++;
+            while (buf[t] == ' ' || buf[t] == '\t')
+                t++;
+            if (buf[t] == '\n' || (buf[t] == '\r' && buf[t + 1] == '\n')) {
+                r = t;
+                break;
+            }
+            r = t;
+        }
+        if (nf < 8)
+            return -1;
+        nr++;
+        p = r + (buf[r] == '\r' ? 2 : 1);
+    }
+    out[0] = nr;
+    out[1] = ns;
+    out[2] = p;
+    return 0;
+}
 """
 
 
@@ -1228,3 +1403,26 @@ def faulty_batch_core(
         iout[log_kinds : log_kinds + nl],
         iout[log_refs : log_refs + nl],
     )
+
+
+def swf_scan_core(
+    buf, start: int, rows: np.ndarray, spans: np.ndarray
+) -> tuple[int, int, int] | None:
+    # The C loop reads the buffer up to its final newline and writes at
+    # most len(rows) rows and len(spans) spans.
+    view = check_swf_scan_inputs(buf, start, rows, spans)
+    out = np.empty(3, dtype=np.int64)
+    status = _lib.repro_swf_scan(
+        _ffi.from_buffer("uint8_t[]", view),
+        len(view),
+        int(start),
+        _ptr("double *", rows),
+        rows.shape[0],
+        _ptr("int64_t *", spans),
+        spans.shape[0],
+        _ptr("int64_t *", out),
+    )
+    if status < 0:
+        return None
+    n_rows, n_spans, stop = out.tolist()
+    return n_rows, n_spans, stop

@@ -42,8 +42,10 @@ __all__ = [
     "graham_starts_core",
     "fcfs_starts_core",
     "faulty_batch_core",
+    "swf_scan_core",
     "FaultyBatch",
     "check_faulty_batch_inputs",
+    "check_swf_scan_inputs",
 ]
 
 name = "numpy"
@@ -636,3 +638,52 @@ def faulty_batch_core(
         np.array(log_k, dtype=np.int64),
         np.array(log_r, dtype=np.int64),
     )
+
+
+def check_swf_scan_inputs(buf, start: int, rows: np.ndarray, spans: np.ndarray) -> memoryview:
+    """The byte view of one :func:`swf_scan_core` call, or
+    :class:`ValueError` for inputs that could send the scan outside its
+    buffers: a buffer that is not one contiguous run of bytes ending in a
+    newline, a start outside it, or ``rows`` / ``spans`` that are not
+    writeable C-contiguous ``(k, 6) float64`` / ``(k, 2) int64`` arrays
+    with ``k >= 1``."""
+    view = memoryview(buf)
+    if view.ndim != 1 or view.itemsize != 1 or not view.c_contiguous:
+        raise ValueError("buf must be a contiguous 1-D byte buffer")
+    if len(view) and view[-1:].tobytes() != b"\n":
+        raise ValueError("buf must end with a newline")
+    if not 0 <= start <= len(view):
+        raise ValueError(f"start must lie in [0, {len(view)}], got {start}")
+    for label, arr, dtype, width in (("rows", rows, np.float64, 6), ("spans", spans, np.int64, 2)):
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == dtype
+            and arr.ndim == 2
+            and arr.shape[0] >= 1
+            and arr.shape[1] == width
+            and arr.flags.c_contiguous
+            and arr.flags.writeable
+        ):
+            raise ValueError(
+                f"{label} must be a writeable C-contiguous (k >= 1, {width}) "
+                f"{np.dtype(dtype).name} array"
+            )
+    return view
+
+
+def swf_scan_core(
+    buf, start: int, rows: np.ndarray, spans: np.ndarray
+) -> tuple[int, int, int] | None:
+    """Scan whole SWF lines of ``buf`` from byte ``start`` into ``rows``
+    (fields 0, 1, 2, 3, 4 and 7 of each record) and ``spans`` (the byte
+    range of each ``;`` comment line), stopping before a line either has
+    no room for; ``(rows filled, spans filled, offset reached)``, or
+    ``None`` to decline.
+
+    This backend always declines: the line path of
+    :mod:`repro.workloads.trace` is the reference parse, so declining
+    hands every load to it.  The compiled backend scans in C and
+    declines wherever the line path could read the bytes differently.
+    """
+    check_swf_scan_inputs(buf, start, rows, spans)
+    return None

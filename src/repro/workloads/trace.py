@@ -9,13 +9,17 @@ synthetic stand-in) becomes a replayable workload.
 Three layers:
 
 * :class:`Trace` / :func:`load_trace` — **columnar ingestion**.  An SWF
-  log is parsed chunk-by-chunk straight into numpy columns (job ids,
-  submit times, runtimes, processor counts).  The hot path is
-  :func:`numpy.loadtxt`'s C tokenizer over chunks of data lines, with a
-  per-line tolerant fallback (same semantics as
-  :func:`repro.io.swf.read_swf`) for chunks containing short or irregular
-  records — a million-job archive log never materialises one Python
-  object per job.
+  log is parsed straight into numpy columns (job ids, submit times,
+  runtimes, processor counts); a million-job archive log never
+  materialises one Python object per job.  A file path or SWF text goes
+  through the compiled scan (:func:`repro.kernels.swf_scan_core`): one C
+  pass per block of bytes, a file read in bounded blocks.  The scan
+  declines whatever the line path could read differently, and the line
+  path — :func:`parse_trace`, :func:`numpy.loadtxt`'s tokenizer over
+  chunks of data lines with a per-line tolerant fallback (same semantics
+  as :func:`repro.io.swf.read_swf`) for chunks with short or irregular
+  records — then re-reads the source.  It is the reference parse and the
+  only one for open streams and pipes.
 * :data:`MOLDABILITY_MODELS` / :func:`reconstruct_times` — **moldability
   reconstruction**.  An SWF job is rigid (one ``(procs, run)`` point); the
   scheduler under study is moldable.  Each model lifts the logged point to
@@ -40,11 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from repro import kernels
 from repro.core.instance import Instance
 from repro.exceptions import ModelError
 from repro.utils.rng import derive_rng
@@ -73,6 +79,21 @@ _CHUNK_LINES = 65536
 #: Columns of an SWF record consumed by the trace plane (0-based):
 #: job_id, submit, wait, run, procs_used, procs_req.
 _USECOLS = (0, 1, 2, 3, 4, 7)
+
+#: Bytes per block of the compiled scan: a file is read in blocks of
+#: this size, each block's partial last line carried to the next.
+_BLOCK_BYTES = 1 << 20
+
+#: A partial line longer than this ends the scan: no SWF record is
+#: nearly as long, and a file without newlines is never held whole.
+_LINE_BYTES = 1 << 20
+
+#: Record rows per output chunk of the compiled scan, and comment spans
+#: per scan call.
+_SCAN_ROWS = 16384
+_SCAN_SPANS = 256
+
+_BOM = "\ufeff".encode()
 
 
 class Trace:
@@ -131,6 +152,8 @@ class Trace:
         self.digest = self._column_digest() if digest is None else digest
         self.offset = int(offset)
         self.max_procs = None if max_procs is None else int(max_procs)
+        if self.max_procs is not None and self.max_procs < 1:
+            raise ModelError(f"max_procs must be >= 1, got {self.max_procs}")
 
     def _column_digest(self) -> str:
         h = hashlib.sha256()
@@ -264,12 +287,12 @@ def _parse_line_tolerant(line: str, lineno: int) -> tuple:
 def _parse_chunk(lines: list[str], linenos: list[int]) -> np.ndarray:
     """Parse one chunk of data lines into an ``(n_chunk, 6)`` float array.
 
-    Fast path: :func:`numpy.loadtxt`'s C tokenizer over the whole chunk
-    (well-formed archives have a uniform 18 fields per line).  Chunks with
-    ragged records fall back to a per-line parse with exactly the
-    tolerance of :func:`repro.io.swf.read_swf`; ``linenos`` carries each
-    data line's position in the *file* (comments included), so fallback
-    errors point at the actual offending line.
+    The line path's fast path: :func:`numpy.loadtxt`'s C tokenizer over
+    the whole chunk (well-formed archives have a uniform 18 fields per
+    line).  Chunks with ragged records fall back to a per-line parse with
+    exactly the tolerance of :func:`repro.io.swf.read_swf`; ``linenos``
+    carries each data line's position in the *file* (comments included),
+    so fallback errors point at the actual offending line.
     """
     try:
         return np.loadtxt(lines, dtype=np.float64, usecols=_USECOLS,
@@ -282,15 +305,75 @@ def _parse_chunk(lines: list[str], linenos: list[int]) -> np.ndarray:
         return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
 
 
-def parse_trace(lines: Iterable[str]) -> Trace:
-    """Build a :class:`Trace` from an iterable of SWF lines (chunked).
+def _max_procs_header(comment: str) -> int | None:
+    """The machine size a ``; MaxProcs: N`` comment line declares.
 
-    Comment lines are scanned for the ``; MaxProcs: N`` header (the
-    machine size the log was recorded on); data lines are parsed in
-    chunks of :data:`_CHUNK_LINES` through the columnar fast path.
-    Cancelled / failed records (non-positive runtime, or neither
-    ``procs_used`` nor ``procs_req`` positive) are dropped, exactly as the
-    object parser does.
+    ``N`` counts only when it parses to a finite number whose ``int`` is
+    at least 1; any other value (``inf``, ``0``, ``64 processors``) is
+    skipped, and the search goes on to later comment lines.  The one
+    header rule of both parse paths.
+    """
+    body = comment[1:].strip()
+    if not body.lower().startswith("maxprocs:"):
+        return None
+    try:
+        value = float(body.split(":", 1)[1])
+    except ValueError:
+        return None
+    if not math.isfinite(value) or int(value) < 1:
+        return None
+    return int(value)
+
+
+def _records_to_trace(data: np.ndarray, max_procs: int | None) -> Trace:
+    """The post-parse checks of both parse paths: ``(n, 6)`` record rows
+    (:data:`_USECOLS`) to a :class:`Trace`.
+
+    Job ids must be integers below 2**63 (checked on the parsed floats,
+    before any int64 cast).  Cancelled / failed records (non-positive
+    runtime, or neither ``procs_used`` nor ``procs_req`` positive) are
+    dropped, exactly as the object parser does, and the kept ids must
+    not be negative.
+    """
+    raw_ids = data[:, 0]
+    bad_ids = ~np.isfinite(raw_ids) | (raw_ids != np.floor(raw_ids))
+    if bad_ids.any():
+        raise ModelError(f"non-integer SWF job id {float(raw_ids[bad_ids][0])!r}")
+    huge = raw_ids >= 2.0**63
+    if huge.any():
+        raise ModelError(f"SWF job id {int(raw_ids[huge][0])} does not fit in int64")
+    # fmax, not maximum: a NaN submit/wait clamps to 0 exactly like the
+    # object parser's `max(0.0, x)` (np.maximum would propagate the NaN).
+    submits = np.fmax(data[:, 1], 0.0)
+    waits = np.fmax(data[:, 2], 0.0)
+    runs = data[:, 3]
+    # Non-finite processor fields count as missing (-1), like read_swf.
+    procs_used = np.where(np.isfinite(data[:, 4]), data[:, 4], -1.0).astype(np.int64)
+    procs_req = np.where(np.isfinite(data[:, 5]), data[:, 5], -1.0).astype(np.int64)
+    procs = np.where(procs_used > 0, procs_used, procs_req)
+    keep = (runs > 0) & (procs > 0)
+    if not keep.all():
+        raw_ids, submits, waits, runs, procs = (
+            raw_ids[keep], submits[keep], waits[keep], runs[keep], procs[keep]
+        )
+    negative = raw_ids < 0
+    if negative.any():
+        raise ModelError(f"negative SWF job id {int(raw_ids[negative][0])}")
+    return Trace(
+        raw_ids.astype(np.int64), submits, waits, runs, procs, max_procs=max_procs
+    )
+
+
+def parse_trace(lines: Iterable[str]) -> Trace:
+    """Build a :class:`Trace` from an iterable of SWF lines: the line path.
+
+    Comment lines are searched for the ``; MaxProcs: N`` header (the
+    machine size the log was recorded on; :func:`_max_procs_header`);
+    data lines are parsed in chunks of :data:`_CHUNK_LINES` through
+    :func:`numpy.loadtxt`, with the per-line fallback for chunks it
+    rejects.  This is the reference parse: the compiled scan of
+    :func:`load_trace` declines whatever it could read differently, and
+    both paths end in the same post-parse checks.
     """
     chunks: list[np.ndarray] = []
     pending: list[str] = []
@@ -302,12 +385,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             continue
         if line.startswith(";"):
             if max_procs is None:
-                body = line[1:].strip()
-                if body.lower().startswith("maxprocs:"):
-                    try:
-                        max_procs = int(float(body.split(":", 1)[1]))
-                    except ValueError:
-                        pass
+                max_procs = _max_procs_header(line)
             continue
         pending.append(line)
         pending_linenos.append(lineno)
@@ -321,29 +399,65 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         data = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     else:
         data = np.empty((0, 6))
-    raw_ids = data[:, 0]
-    bad_ids = ~np.isfinite(raw_ids) | (raw_ids != np.floor(raw_ids))
-    if bad_ids.any():
-        raise ModelError(f"non-integer SWF job id {float(raw_ids[bad_ids][0])!r}")
-    job_ids = raw_ids.astype(np.int64)
-    # fmax, not maximum: a NaN submit/wait clamps to 0 exactly like the
-    # object parser's `max(0.0, x)` (np.maximum would propagate the NaN).
-    submits = np.fmax(data[:, 1], 0.0)
-    waits = np.fmax(data[:, 2], 0.0)
-    runs = data[:, 3]
-    # Non-finite processor fields count as missing (-1), like read_swf.
-    procs_used = np.where(np.isfinite(data[:, 4]), data[:, 4], -1.0).astype(np.int64)
-    procs_req = np.where(np.isfinite(data[:, 5]), data[:, 5], -1.0).astype(np.int64)
-    procs = np.where(procs_used > 0, procs_used, procs_req)
-    keep = (runs > 0) & (procs > 0)
-    if not keep.all():
-        job_ids, submits, waits, runs, procs = (
-            job_ids[keep], submits[keep], waits[keep], runs[keep], procs[keep]
-        )
-    if (job_ids < 0).any():
-        bad = job_ids[job_ids < 0][0]
-        raise ModelError(f"negative SWF job id {int(bad)}")
-    return Trace(job_ids, submits, waits, runs, procs, max_procs=max_procs)
+    return _records_to_trace(data, max_procs)
+
+
+def _line_blocks(reader: IO[bytes]) -> Iterator[memoryview | bytes | None]:
+    """The bytes of ``reader`` in blocks of whole lines, each ending in a
+    newline; ``None`` (and no more) once a partial line outgrows
+    :data:`_LINE_BYTES`.
+
+    Blocks of :data:`_BLOCK_BYTES` are read one at a time; each block's
+    partial last line is carried to the next, and a final line without a
+    newline gets one (a final CR then ends its line, as the line path
+    reads it).  A longer run without a newline (CR line ends, a binary
+    file) ends the scan instead of growing the carry.  A leading
+    byte-order mark is dropped, as the line path strips it.
+    """
+    carry = reader.read(len(_BOM))
+    if carry == _BOM:
+        carry = b""
+    while block := reader.read(_BLOCK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            carry += block
+            if len(carry) > _LINE_BYTES:
+                yield None
+                return
+            continue
+        yield memoryview(carry + block if carry else block)[: len(carry) + cut]
+        carry = block[cut:]
+    if carry:
+        yield carry + b"\n"
+
+
+def _scan_swf(reader: IO[bytes]) -> Trace | None:
+    """The trace of SWF bytes through the compiled scan, or ``None`` when
+    the scan declines a block."""
+    chunks = [np.empty((_SCAN_ROWS, 6))]
+    filled = 0
+    spans = np.empty((_SCAN_SPANS, 2), dtype=np.int64)
+    max_procs: int | None = None
+    for buf in _line_blocks(reader):
+        if buf is None:
+            return None
+        pos = 0
+        while pos < len(buf):
+            if filled == _SCAN_ROWS:
+                chunks.append(np.empty((_SCAN_ROWS, 6)))
+                filled = 0
+            got = kernels.swf_scan_core(buf, pos, chunks[-1][filled:], spans)
+            if got is None:
+                return None
+            n_rows, n_spans, pos = got
+            filled += n_rows
+            for start, stop in spans[:n_spans].tolist():
+                if max_procs is None:
+                    max_procs = _max_procs_header(bytes(buf[start:stop]).decode("ascii"))
+    chunks[-1] = chunks[-1][:filled]
+    data = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    chunks.clear()  # the rows are in data: free the chunks before the checks
+    return _records_to_trace(data, max_procs)
 
 
 def load_trace(source: "str | os.PathLike | IO[str]") -> Trace:
@@ -355,8 +469,21 @@ def load_trace(source: "str | os.PathLike | IO[str]") -> Trace:
     like a path — no separator, no ``.swf`` suffix) — so a one-record
     log without a trailing newline still parses as text, while a typo'd
     or missing path surfaces ``FileNotFoundError`` instead of a
-    confusing parse error.  File contents are streamed — the whole log
-    is never held as one string.
+    confusing parse error.
+
+    A path or text goes through the compiled scan
+    (:func:`repro.kernels.swf_scan_core`); a file is read in binary
+    blocks of :data:`_BLOCK_BYTES`, so the whole log is never held at
+    once.  The scan declines anything the line path might read
+    differently — a non-ASCII byte (but a leading byte-order mark), a
+    control byte other than tab, a CR not before LF, a record of fewer
+    than 8 fields, a used field that is not a plain decimal number, a
+    line longer than :data:`_LINE_BYTES` — and the NumPy kernel backend
+    always declines; the file is then rewound, or the text re-read,
+    through :func:`parse_trace`.  That line path is the only one for an
+    open stream and for a path that cannot be rewound (a pipe or FIFO,
+    such as a shell's ``<(zcat log.swf.gz)``), which is read once.
+    Columns, digest, header and errors are the line path's either way.
     """
     if hasattr(source, "read"):
         return parse_trace(iter(source))
@@ -374,12 +501,23 @@ def load_trace(source: "str | os.PathLike | IO[str]") -> Trace:
             and len(source.split()) > 1
         )
         if is_text:
-            return parse_trace(io.StringIO(source))
+            # A lone surrogate becomes bytes the scan declines, not an
+            # encoding error the line path would not raise.
+            trace = _scan_swf(io.BytesIO(source.encode("utf-8", "surrogatepass")))
+            return trace if trace is not None else parse_trace(io.StringIO(source))
         path = source
     else:
         raise TypeError(f"source must be a path, SWF text, or stream, got {source!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh)
+    # One open: a pipe or FIFO path cannot be read twice, so it skips the
+    # scan; a declined file is rewound for the line path, whose wrapper
+    # decodes and splits lines exactly as open(path, "r") would.
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            trace = _scan_swf(fh)
+            if trace is not None:
+                return trace
+            fh.seek(0)
+        return parse_trace(io.TextIOWrapper(fh, encoding="utf-8"))
 
 
 # --------------------------------------------------------------------- #

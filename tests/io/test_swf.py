@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ class TestMalformedLineClasses:
             read_swf(text)
         with pytest.raises(ModelError, match="job id"):
             load_trace(text)
+
+    @pytest.mark.parametrize(
+        "token, named",
+        [
+            ("9223372036854775808", "9223372036854775808"),
+            ("1e19", "10000000000000000000"),
+            ("9223372036854775807", "9223372036854775808"),  # parses to 2**63
+        ],
+    )
+    def test_job_id_beyond_int64_rejected_by_both_parsers(self, token, named):
+        # Checked on the parsed float, before the columnar loader's int64
+        # cast (which would warn and wrap to a negative id).
+        from repro.workloads.trace import load_trace
+
+        text = f"; header\n{token} 0.0 0.0 5.0 2 -1 -1 2 5.0 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+        with pytest.raises(ModelError, match=f"SWF line 2: job id {named} does not fit"):
+            read_swf(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=f"SWF job id {named} does not fit"):
+                load_trace(text)
 
     def test_nan_submit_clamps_to_zero_in_both_parsers(self):
         from repro.workloads.trace import load_trace

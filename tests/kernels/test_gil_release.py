@@ -38,10 +38,11 @@ pytestmark = pytest.mark.skipif(
 _MIN_CALL = 0.05
 #: The dual sweep is one pass over an ``(n, m)`` matrix, so a 50 ms call
 #: would need a ~150 MB input; its probe uses a 32 MB matrix and accepts a
-#: shorter call (a held GIL still freezes the spinner for the whole call,
-#: and a released one lets it run through the middle third even when one
-#: CPU time-slices both threads).
-_MIN_CALL_FOR = {"dual_sweep": 0.005}
+#: shorter call, and so does the SWF scan's 16 MB buffer (a held GIL
+#: still freezes the spinner for the whole call, and a released one lets
+#: it run through the middle third even when one CPU time-slices both
+#: threads).
+_MIN_CALL_FOR = {"dual_sweep": 0.005, "swf_scan": 0.01}
 
 
 def _knapsack_min_work_call(mod):
@@ -115,6 +116,22 @@ def _faulty_batch_call(mod):
     )
 
 
+def _swf_scan_call(mod):
+    # 16 MB of archive records: 17-digit times (strtod) beside short
+    # integers (the fast path).
+    rng = np.random.default_rng(29)
+    n = 160_000
+    submits = np.cumsum(rng.exponential(1.0, size=n)).tolist()
+    runs = rng.uniform(0.5, 5.0, size=n).tolist()
+    buf = "".join(
+        f"{i} {s!r} -1 {r!r} 4 -1 -1 4 {r!r} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+        for i, (s, r) in enumerate(zip(submits, runs), 1)
+    ).encode()
+    rows = np.empty((n, 6))
+    spans = np.empty((1, 2), dtype=np.int64)
+    return lambda: mod.swf_scan_core(buf, 0, rows, spans)
+
+
 _KERNEL_CALLS = {
     "min_work_value": _knapsack_min_work_call,
     "min_work": _knapsack_min_work_reconstruct_call,
@@ -123,6 +140,7 @@ _KERNEL_CALLS = {
     "graham_starts": _graham_call,
     "fcfs_starts": _fcfs_call,
     "faulty_batch": _faulty_batch_call,
+    "swf_scan": _swf_scan_call,
 }
 
 

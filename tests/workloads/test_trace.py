@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import io
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import kernels
+from repro.algorithms.wspt import schedule_wspt
 from repro.exceptions import ModelError
+from repro.experiments.replay import replay_trace
 from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     MOLDABILITY_MODELS,
@@ -32,6 +36,23 @@ CLEAN = (
 
 TRACES = Path(__file__).resolve().parents[1] / "data" / "traces"
 FIXTURES = ("bursty_quirks.swf", "cirne_small.swf", "wide_jobs.swf")
+
+
+@pytest.fixture(params=kernels.available_backend_names())
+def backend(request):
+    """Run the test on each kernel backend: the compiled scan, and the
+    NumPy backend whose scan always declines to the line path."""
+    previous = kernels.set_backend(request.param)
+    yield request.param
+    kernels.set_backend(previous)
+
+
+#: Two records the compiled scan takes (8 fields), and the same records
+#: cut to 5 fields, which it declines to the line path.
+RECORDS = {
+    "scanned": "1 0 0 5 2 -1 -1 2\n2 1 0 3 1 -1 -1 1\n",
+    "line-path": "1 0 0 5 2\n2 1 0 3 1\n",
+}
 
 
 def data_line_indexes(lines: list[str]) -> list[int]:
@@ -124,6 +145,58 @@ class TestLoading:
             load_trace("missing dir/archive log.swf")
 
 
+class TestMaxProcsHeader:
+    """A header counts only when its value is a finite number whose int
+    is at least 1; anything else is skipped like a non-numeric value."""
+
+    @pytest.mark.parametrize("records", list(RECORDS.values()), ids=list(RECORDS))
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "0", "-4", "64 processors"])
+    def test_unusable_header_is_skipped(self, backend, records, value):
+        tr = load_trace(f"; MaxProcs: {value}\n{records}")
+        assert tr.max_procs is None
+        (result,) = replay_trace(tr, offline=schedule_wspt)
+        assert result.m == 2  # the widest job
+
+    @pytest.mark.parametrize("records", list(RECORDS.values()), ids=list(RECORDS))
+    def test_fractional_header_truncates(self, backend, records):
+        assert load_trace(f"; MaxProcs: 2.7\n{records}").max_procs == 2
+
+    @pytest.mark.parametrize("records", list(RECORDS.values()), ids=list(RECORDS))
+    def test_search_goes_on_past_a_bad_header(self, backend, records):
+        text = f"; MaxProcs: inf\n; note\n; MaxProcs: 8\n; MaxProcs: 4\n{records}"
+        assert load_trace(text).max_procs == 8
+
+    @pytest.mark.parametrize("k", [0, -4])
+    def test_trace_rejects_max_procs_below_one(self, k):
+        with pytest.raises(ModelError, match="max_procs"):
+            Trace([1], [0.0], [0.0], [5.0], [2], max_procs=k)
+
+
+class TestHugeJobIds:
+    """Ids at or above 2**63 do not fit the int64 column: rejected with
+    the id named, before any cast (which would warn and wrap)."""
+
+    @pytest.mark.parametrize("fields", [5, 8])
+    @pytest.mark.parametrize(
+        "token, named",
+        [
+            ("9223372036854775808", "9223372036854775808"),
+            ("1e19", "10000000000000000000"),
+            ("9223372036854775807", "9223372036854775808"),  # parses to 2**63
+        ],
+    )
+    def test_rejected_naming_the_id(self, backend, fields, token, named):
+        line = " ".join([token, "0", "0", "5", "2", "-1", "-1", "2"][:fields])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=f"SWF job id {named} does not fit"):
+                load_trace(line + "\n")
+
+    def test_largest_id_below_two_to_the_63_loads(self, backend):
+        tr = load_trace("9223372036854774784 0 0 5 2 -1 -1 2\n")
+        assert tr.job_ids.tolist() == [2**63 - 1024]
+
+
 class TestChunkedParsing:
     """Data lines are parsed in chunks of ``_CHUNK_LINES`` (65536); every
     fixture fits in one, so the chunk is shrunk to cross boundaries."""
@@ -142,12 +215,13 @@ class TestChunkedParsing:
 
         monkeypatch.setattr(trace_module, "_parse_line_tolerant", spy)
         monkeypatch.setattr(trace_module, "_CHUNK_LINES", chunk)
-        assert load_trace(text).digest == whole.digest
+        # The line path itself: load_trace may take the compiled scan.
+        assert parse_trace(io.StringIO(text)).digest == whole.digest
         assert not fallback_lines
         # Chunks holding a cut record fall back per line; with chunks
         # shorter than the cut spacing, the others stay on np.loadtxt.
         # Both kinds must concatenate in file order.
-        assert load_trace(ragged(text)).digest == whole_ragged.digest
+        assert parse_trace(io.StringIO(ragged(text))).digest == whole_ragged.digest
         assert fallback_lines
         if chunk < 7:
             assert len(fallback_lines) < len(data_line_indexes(text.splitlines()))
