@@ -4,7 +4,7 @@ DEMT first conceptually places each selected batch in its time window
 ``[t_j, t_{j+1}]``.  The paper then describes three successive refinements:
 
 1. :func:`shelf_placement` — "we start all the selected tasks of one batch
-   at the same time" (the naive schedule; kept for the ablation bench);
+   at the same time" (the naive schedule; kept for the ablation study);
 2. :func:`pull_forward` — "a straightforward improvement is to start a task
    at an earlier time if all the processors it uses are idle": tasks keep
    their batch order but each starts as early as the free-processor profile

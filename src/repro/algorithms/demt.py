@@ -145,7 +145,7 @@ class DemtScheduler:
         "several times").
     compaction:
         ``"list"`` (paper's final choice), ``"pull_forward"`` or ``"shelf"``
-        (the two intermediate refinements, kept for the ablation bench).
+        (the two intermediate refinements, kept for the ablation study).
     small_threshold_factor:
         Fraction of the batch length under which a sequential task counts
         as *small* for the merge step (paper: one half).  This is the

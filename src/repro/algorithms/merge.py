@@ -50,7 +50,7 @@ def merge_small_tasks(
         ``p(1) <= small_threshold_factor * t``.
     small_threshold_factor:
         The paper uses one half ("less than half the batch size").  Exposed
-        for the ablation benchmarks.
+        for the ablation study.
 
     Returns
     -------

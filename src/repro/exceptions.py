@@ -3,8 +3,7 @@
 All library-specific errors derive from :class:`ReproError` so callers can
 catch a single base class.  The hierarchy distinguishes *modelling* errors
 (malformed tasks or instances), *scheduling* errors (an algorithm produced or
-was asked to produce something impossible) and *infeasibility* signals used by
-the dual-approximation machinery.
+was asked to produce something impossible) and *solver* errors.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ __all__ = [
     "InvalidInstanceError",
     "SchedulingError",
     "InvalidScheduleError",
-    "InfeasibleError",
     "SolverError",
 ]
 
@@ -51,10 +49,6 @@ class InvalidScheduleError(SchedulingError):
     Raised by :func:`repro.core.validation.validate_schedule`; the message
     carries the first violated constraint for debuggability.
     """
-
-
-class InfeasibleError(SchedulingError):
-    """A target (e.g. a dual-approximation guess ``lambda``) is infeasible."""
 
 
 class SolverError(ReproError):

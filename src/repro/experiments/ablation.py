@@ -12,7 +12,7 @@ them on the paper's workloads:
 
 Each driver returns ``{variant_name: (mean minsum ratio, mean cmax
 ratio)}`` over a handful of seeded instances, where ratios are against the
-standard lower bounds — directly printable by the benchmark harness.
+standard lower bounds; ``repro-experiments --ablation NAME`` prints them.
 
 The instances are one cell family, :class:`AblationCellFamily`, on
 :func:`~repro.experiments.engine.execute_cells`, so the ablations share
@@ -182,7 +182,7 @@ def ablate_shuffle(**kw: object) -> dict[str, tuple[float, float]]:
     )
 
 
-#: Name -> driver registry for the ablation bench.
+#: Name -> driver registry for ``--ablation``.
 ABLATIONS = {
     "selection": ablate_selection,
     "merge": ablate_merge,

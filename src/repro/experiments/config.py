@@ -7,7 +7,7 @@ the LP / dual-approximation lower bounds.
 Because the full campaign takes a few CPU-minutes, the scale is selectable
 — ``paper`` reproduces §4.1 exactly, ``quick`` is a minutes-scale sanity
 sweep, ``smoke`` is for CI.  The ``REPRO_SCALE`` environment variable picks
-the default used by the benchmarks and the CLI.
+the CLI's default.
 """
 
 from __future__ import annotations

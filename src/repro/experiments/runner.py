@@ -47,7 +47,6 @@ from repro.utils.rng import derive_rng
 from repro.workloads.generator import generate_workload
 
 __all__ = [
-    "RunRecord",
     "AlgorithmPointStats",
     "PointResult",
     "CampaignResult",
@@ -58,16 +57,6 @@ __all__ = [
     "run_point",
     "run_campaign",
 ]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Raw measurements of one algorithm on one instance."""
-
-    algorithm: str
-    cmax: float
-    minsum: float
-    seconds: float  # scheduling wall-clock (Figure 7 uses DEMT's)
 
 
 @dataclass(frozen=True)

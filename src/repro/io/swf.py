@@ -22,7 +22,6 @@ preserved on read and written as ``-1`` on export.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -99,7 +98,9 @@ def read_swf(source: str | TextIO) -> list[SwfJob]:
     missing) are skipped — cancelled / failed entries — as is conventional
     when replaying archive logs; a missing ``procs_used`` *or* a
     ``procs_req = -1`` alone falls back to the other field instead of
-    dropping the job.
+    dropping the job.  A processor field that is not finite or not below
+    2**63 in magnitude counts as missing, as in the columnar loader,
+    whose int64 columns hold no more.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -117,13 +118,14 @@ def read_swf(source: str | TextIO) -> list[SwfJob]:
             raise ModelError(f"SWF line {lineno}: non-integer job id {job_id!r}")
         if job_id >= 2.0**63:  # the columnar loader's int64 ids end here
             raise ModelError(f"SWF line {lineno}: job id {int(job_id)} does not fit in int64")
-        # Truncate *before* the positivity tests (non-finite counts as
-        # missing), and spell the run check as `not (run > 0)` so NaN is
-        # dropped — all three choices mirror the columnar loader's
-        # int64/array semantics exactly (the round-trip suite asserts the
-        # two parsers agree record for record).
-        pu = int(procs_used) if math.isfinite(procs_used) else -1
-        pr = int(procs_req) if math.isfinite(procs_req) else -1
+        # Truncate *before* the positivity tests (outside int64, NaN and
+        # infinities included, counts as missing), and spell the run check
+        # as `not (run > 0)` so NaN is dropped — all three choices mirror
+        # the columnar loader's int64/array semantics exactly (the
+        # round-trip suite asserts the two parsers agree record for
+        # record).
+        pu = int(procs_used) if abs(procs_used) < 2.0**63 else -1
+        pr = int(procs_req) if abs(procs_req) < 2.0**63 else -1
         procs = pu if pu > 0 else pr
         if not (run > 0) or procs <= 0:
             continue  # cancelled / failed / malformed record

@@ -12,8 +12,6 @@ for parallel runs.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = ["make_rng", "spawn_rngs", "derive_rng"]
@@ -67,10 +65,3 @@ def derive_rng(seed: int | None, *keys: int | str) -> np.random.Generator:
         else:
             material.append(int(key))
     return np.random.default_rng(np.random.SeedSequence(material))
-
-
-def interleave_choice(rng: np.random.Generator, options: Sequence) -> object:
-    """Pick one element of ``options`` uniformly (tiny convenience wrapper)."""
-    if not options:
-        raise ValueError("cannot choose from an empty sequence")
-    return options[int(rng.integers(len(options)))]

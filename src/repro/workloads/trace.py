@@ -330,10 +330,11 @@ def _records_to_trace(data: np.ndarray, max_procs: int | None) -> Trace:
     (:data:`_USECOLS`) to a :class:`Trace`.
 
     Job ids must be integers below 2**63 (checked on the parsed floats,
-    before any int64 cast).  Cancelled / failed records (non-positive
-    runtime, or neither ``procs_used`` nor ``procs_req`` positive) are
-    dropped, exactly as the object parser does, and the kept ids must
-    not be negative.
+    before any int64 cast).  A processor field that is not finite or not
+    below 2**63 in magnitude, which no int64 holds, counts as missing
+    (-1).  Cancelled / failed records (non-positive runtime, or neither
+    ``procs_used`` nor ``procs_req`` positive) are dropped, exactly as
+    the object parser does, and the kept ids must not be negative.
     """
     raw_ids = data[:, 0]
     bad_ids = ~np.isfinite(raw_ids) | (raw_ids != np.floor(raw_ids))
@@ -347,9 +348,10 @@ def _records_to_trace(data: np.ndarray, max_procs: int | None) -> Trace:
     submits = np.fmax(data[:, 1], 0.0)
     waits = np.fmax(data[:, 2], 0.0)
     runs = data[:, 3]
-    # Non-finite processor fields count as missing (-1), like read_swf.
-    procs_used = np.where(np.isfinite(data[:, 4]), data[:, 4], -1.0).astype(np.int64)
-    procs_req = np.where(np.isfinite(data[:, 5]), data[:, 5], -1.0).astype(np.int64)
+    # Processor fields outside int64 count as missing (-1), like read_swf;
+    # the comparison is False for NaN and infinities too.
+    procs_used = np.where(np.abs(data[:, 4]) < 2.0**63, data[:, 4], -1.0).astype(np.int64)
+    procs_req = np.where(np.abs(data[:, 5]) < 2.0**63, data[:, 5], -1.0).astype(np.int64)
     procs = np.where(procs_used > 0, procs_used, procs_req)
     keep = (runs > 0) & (procs > 0)
     if not keep.all():

@@ -30,11 +30,15 @@ Usage, from the repository root::
     python tests/data/check_smoke_counts.py smoke.json                 # compare
     python tests/data/check_smoke_counts.py smoke-*.json --record      # rewrite the tables
 
-``--record`` takes the counts (which must agree between the runs given)
-and the median times of all the runs given; record from five or more
-fresh runs on a quiet machine.  Record only for an intentional change of
-the work or the speed of a layer, and say so in the commit message.  The
-exit code is 1 when a count differs or a layer is too slow.
+``--record`` rewrites the counts (which must agree between the runs
+given) and adds the median time over the runs given of every layer that
+has no median in ``smoke_times.json`` yet; every median already there is
+kept, so re-recording one layer leaves the other layers' bounds where
+they were.  To re-record a layer, delete its entry first, then record
+from five or more fresh runs on a quiet machine.  Record only for an
+intentional change of the work or the speed of a layer, and say so in
+the commit message.  The exit code is 1 when a count differs or a layer
+is too slow.
 """
 
 from __future__ import annotations
@@ -143,28 +147,37 @@ def compare_times(got: dict, want: dict) -> tuple[list[str], list[tuple[float, s
 
 
 def record(records: list[list[dict]]) -> int:
-    """Rewrite both tables from the runs of several ``run.py --json`` files."""
+    """Rewrite the counts table from the runs of several ``run.py --json``
+    files, and add the median time of every layer the times table lacks."""
     counts = [counts_of(runs) for runs in records]
     backends = {run["machine"]["kernel_backend"] for runs in records for run in runs}
+    kept = json.loads(TIMES_PATH.read_text()) if TIMES_PATH.exists() else None
+    if kept is not None:
+        backends.add(kept["kernel_backend"])
     if any(c != counts[0] for c in counts) or len(backends) > 1:
-        print("the runs given differ in their counts or kernel backend; nothing recorded")
+        print("the runs given differ in their counts or kernel backend, or from the "
+              f"kernel backend of {TIMES_PATH.name}; nothing recorded")
         return 1
     times = [times_of(runs) for runs in records]
-    medians = {
-        workload: {
-            name: round(statistics.median(t[workload][name] for t in times), 6)
-            for name in TIMED
-        }
-        for workload in times[0]
-    }
+    medians, added = {}, 0
+    for workload in times[0]:
+        old = kept["medians"].get(workload, {}) if kept is not None else {}
+        medians[workload] = {}
+        for name in TIMED:
+            if name in old:
+                medians[workload][name] = old[name]
+            else:
+                medians[workload][name] = round(
+                    statistics.median(t[workload][name] for t in times), 6
+                )
+                added += 1
     TABLE_PATH.write_text(json.dumps(counts[0], indent=1, sort_keys=True) + "\n")
     TIMES_PATH.write_text(json.dumps(
-        {"kernel_backend": backends.pop(), "runs": len(records), "medians": medians},
-        indent=1, sort_keys=True,
+        {"kernel_backend": backends.pop(), "medians": medians}, indent=1, sort_keys=True,
     ) + "\n")
     print(f"recorded {sum(len(v) for v in counts[0].values())} counts to {TABLE_PATH}")
-    print(f"recorded the median {len(TIMED)} layer times of {len(records)} runs "
-          f"per workload to {TIMES_PATH}")
+    print(f"recorded the median time over {len(records)} runs of {added} layers "
+          f"missing from {TIMES_PATH}; kept the other medians")
     return 0
 
 
@@ -198,7 +211,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("record", type=Path, nargs="+", help="run.py --json outputs")
     ap.add_argument("--record", dest="write", action="store_true",
-                    help="rewrite both tables from these runs")
+                    help="rewrite the counts and add the missing layer medians "
+                         "from these runs")
     args = ap.parse_args(argv)
 
     records = {path: smoke_runs(json.loads(path.read_text())) for path in args.record}

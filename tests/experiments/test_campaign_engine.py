@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -10,6 +12,7 @@ from repro.experiments.engine import (
     CellKey,
     ProcessBackend,
     SerialBackend,
+    ThreadBackend,
     resolve_backend,
 )
 from repro.experiments.runner import run_campaign, run_cells, run_point
@@ -75,6 +78,22 @@ class TestBackendEquivalence:
     def test_single_item_shortcircuit(self):
         backend = ProcessBackend(jobs=4)
         assert backend.map(abs, [-3]) == [3]
+
+
+class TestThreadOverlap:
+    """Thread cells run at the same time, so cells whose kernels release
+    the GIL (tests/kernels/test_gil_release.py) overlap.  Two cells that
+    wait for each other on one barrier finish only if both run at once."""
+
+    def test_two_workers_run_two_cells_at_once(self):
+        barrier = threading.Barrier(2, timeout=10.0)
+        out = ThreadBackend(jobs=2).map(threading.Barrier.wait, [barrier, barrier])
+        assert sorted(out) == [0, 1]
+
+    def test_one_worker_runs_one_cell_at_a_time(self):
+        barrier = threading.Barrier(2, timeout=0.2)
+        with pytest.raises(threading.BrokenBarrierError):
+            ThreadBackend(jobs=1).map(threading.Barrier.wait, [barrier, barrier])
 
 
 class TestCellCache:

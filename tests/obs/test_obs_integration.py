@@ -4,9 +4,9 @@ Four invariants are pinned here:
 
 * enabling tracing changes **nothing** about computed schedules — the
   bit-identity tests compare placements with observability on and off;
-* the worker→parent metric merge is **exact** — a process-backend
-  campaign reports the same integer counters as the identical serial
-  run;
+* the worker→parent metric merge is **exact** — a process-backend or
+  thread-backend campaign reports the same counters as the identical
+  serial run;
 * robustness cells record **real** wall-clock seconds (PR 7 pinned them
   to 0.0) without breaking serial-vs-process record identity, because
   record equality excludes ``seconds``.
@@ -23,15 +23,6 @@ import pytest
 
 from repro import kernels, obs
 from repro.workloads.generator import generate_workload
-
-#: Integer counters that must merge exactly across backends: pure
-#: functions of the work done, independent of scheduling order.
-EXACT_COUNTERS = (
-    "dual.probes",
-    "demt.batches",
-    "cells.measured",
-    "cells.cache_miss",
-)
 
 
 def _placements(schedule):
@@ -332,22 +323,24 @@ def _run_campaign(backend):
 
 
 class TestCrossProcessMerge:
-    def test_serial_and_process_counters_match_exactly(self):
-        obs.enable()
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_counters_match_serial_exactly(self, backend):
+        """Every counter is a function of the work done, so it must not
+        depend on which backend did the work or in what order."""
+        obs.enable(fresh=True)
         _run_campaign("serial")
         serial = obs.disable()
         obs.enable(fresh=True)
-        _run_campaign("process")
-        process = obs.disable()
-        for name in EXACT_COUNTERS:
-            assert serial.counters.get(name) == process.counters.get(name), name
+        _run_campaign(backend)
+        pooled = obs.disable()
+        assert pooled.counters == serial.counters
         assert serial.counters["cells.measured"] > 0
         # Worker spans were grafted under the dispatch span on fresh
         # timeline lanes, parents intact, span ids collision-free.
-        sids = {s.sid for s in process.spans}
-        assert len(sids) == len(process.spans)
-        worker_spans = [s for s in process.spans if s.tid > 0]
-        assert worker_spans, "no worker snapshots merged"
+        sids = {s.sid for s in pooled.spans}
+        assert len(sids) == len(pooled.spans)
+        worker_spans = [s for s in pooled.spans if s.tid > 0]
+        assert worker_spans, "no worker spans on their own lanes"
         for s in worker_spans:
             assert s.parent in sids or s.parent == -1
 

@@ -3,8 +3,7 @@
 A retired script or a renamed test must not leave a dangling link, CI
 step or recipe line behind.  Paths are matched under ``benchmarks/``,
 ``tests/``, ``src/`` and ``examples/``; a ``::test`` suffix is dropped,
-and a ``*`` pattern must match at least one file.  Bench outputs
-(``*.new.json``) are written by runs, not checked in.
+and a ``*`` pattern must match at least one file.
 
 The other direction holds too: every ``*.md`` file that a Python file
 under those four roots names exists somewhere in the repository (a bare
@@ -36,7 +35,6 @@ def citations(doc: Path) -> list[tuple[int, str]]:
         (lineno, m.group(1))
         for lineno, line in enumerate(doc.read_text().splitlines(), start=1)
         for m in CITED.finditer(line)
-        if not m.group(1).endswith(".new.json")
     ]
 
 

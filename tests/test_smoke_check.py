@@ -3,7 +3,8 @@
 CI runs the checker on a fresh traced smoke pass; here it runs on a
 synthetic pass that reproduces the recorded tables exactly, so the gate
 itself is pinned: a gated layer more than ``TIME_BOUND`` times slower
-fails, a layer under the floor or a slow host does not.
+fails, a layer under the floor or a slow host does not.  ``--record``
+adds the medians a table lacks and keeps the others.
 """
 
 from __future__ import annotations
@@ -77,3 +78,42 @@ def test_a_pass_on_other_kernels_fails():
     runs = recorded_runs()
     runs[0]["machine"]["kernel_backend"] = "not-" + TIMES["kernel_backend"]
     assert not checker.check(Path("pass.json"), runs)
+
+
+@pytest.fixture
+def tables(tmp_path, monkeypatch):
+    """Both tables as copies in a temporary directory, where ``--record``
+    writes them."""
+    paths = {"counts": tmp_path / "smoke_counts.json", "times": tmp_path / "smoke_times.json"}
+    paths["times"].write_text(json.dumps(TIMES))
+    monkeypatch.setattr(checker, "TABLE_PATH", paths["counts"])
+    monkeypatch.setattr(checker, "TIMES_PATH", paths["times"])
+    return paths
+
+
+def test_record_adds_only_the_missing_medians(tables):
+    """Runs three times slower re-record only the layer whose entry was
+    deleted; every other layer keeps its median, and so its bound."""
+    k, name = layer(median_at_least=True)
+    workload = list(COUNTS)[k]
+    kept = json.loads(json.dumps(TIMES["medians"]))
+    del kept[workload][name]
+    tables["times"].write_text(json.dumps({**TIMES, "medians": kept}))
+    runs = recorded_runs()
+    for run in runs:
+        for metric in checker.TIMED:
+            run["layers"][metric] *= 3
+    assert checker.record([runs]) == 0
+    medians = json.loads(tables["times"].read_text())["medians"]
+    assert medians[workload].pop(name) == round(3 * TIMES["medians"][workload][name], 6)
+    assert medians == kept
+    assert json.loads(tables["counts"].read_text()) == COUNTS
+
+
+def test_record_on_other_kernels_records_nothing(tables):
+    runs = recorded_runs()
+    for run in runs:
+        run["machine"]["kernel_backend"] = "not-" + TIMES["kernel_backend"]
+    assert checker.record([runs]) == 1
+    assert not tables["counts"].exists()
+    assert json.loads(tables["times"].read_text()) == TIMES

@@ -197,6 +197,28 @@ class TestHugeJobIds:
         assert tr.job_ids.tolist() == [2**63 - 1024]
 
 
+class TestHugeProcessorFields:
+    """A processor field at or above 2**63 does not fit the int64 column:
+    both parsers count it as missing, as they do a non-finite one, with
+    no cast warning."""
+
+    @pytest.mark.parametrize(
+        "line, procs",
+        [
+            ("1 0 0 5 1e19 -1 -1 2", [2]),  # procs_used missing: procs_req
+            ("1 0 0 5 1e19 -1 -1 -1", []),  # both missing: dropped
+        ],
+    )
+    def test_both_parsers_agree(self, backend, line, procs):
+        from repro.io.swf import read_swf
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = load_trace(line + "\n")
+            jobs = read_swf(line + "\n")
+        assert tr.procs.tolist() == [job.procs for job in jobs] == procs
+
+
 class TestChunkedParsing:
     """Data lines are parsed in chunks of ``_CHUNK_LINES`` (65536); every
     fixture fits in one, so the chunk is shrunk to cross boundaries."""
