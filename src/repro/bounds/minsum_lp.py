@@ -32,11 +32,26 @@ Three strictness refinements to the published text:
   from being free and tightens every early interval, while remaining a
   valid lower bound.
 
-The LP is solved with HiGHS through :func:`scipy.optimize.linprog` on a
-sparse constraint matrix: ``n (K+3)`` variables and ``n + K + 2``
-constraints, assembled with numpy.  At ``n = 400, m = 200`` one bound
-takes 29–56 ms (best of 5 per generator family, on a shared 2-vCPU
-x86_64 VM), most of it in HiGHS and the ``linprog`` wrapper.
+Solver path
+-----------
+The model has at most ``n (K+3)`` variables and ``n + K + 2``
+constraints.  Its constraint matrix is assembled with numpy directly in
+column-wise (CSC) form, and ``S`` and ``fastest`` for every interval come
+from one pass over the time matrix.  :func:`solve_highs` hands the model
+to HiGHS through scipy's binding, ``scipy.optimize._highspy._core``, the
+module that ``linprog(method="highs")`` and ``milp`` call themselves.  It
+passes the same arrays with the same options, so the objective and ``x``
+are bit for bit theirs (``tests/bounds/test_minsum_lp.py`` checks this
+against both).  What it skips is their wrapper: input checks, a
+CSR-to-CSC copy, and a per-column loop that builds bound marginals the
+bound never reads.
+
+Over the 144 LPs of one ``paper-campaign`` pass of the benchmark suite at
+seed 2004, timed best of 7 and taking the median of 3 runs (shared 2-vCPU
+x86_64 VM), the bound takes 1.30 s.  HiGHS's own run is 0.95 s of that,
+the call around it 0.17 s and the model assembly 0.18 s.  Through
+``linprog`` it took 2.07 s: 0.97 s in HiGHS, 0.76 s in the wrapper and
+0.37 s in the assembly, which swept the time matrix once per interval.
 """
 
 from __future__ import annotations
@@ -45,14 +60,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, milp, Bounds, LinearConstraint
+import scipy.optimize._highspy._core as _highs
 
-from repro.core.allotment import minimal_area_allotments
 from repro.core.instance import Instance
 from repro.exceptions import SolverError
 
-__all__ = ["MinsumBound", "minsum_lower_bound", "build_time_grid"]
+__all__ = ["MinsumBound", "minsum_lower_bound", "build_time_grid", "solve_highs"]
+
+
+def _highs_options(**values) -> _highs.HighsOptions:
+    options = _highs.HighsOptions()
+    for name, value in values.items():
+        setattr(options, name, value)
+    return options
+
+
+#: ``linprog(method="highs")``'s options: presolve on, dual simplex, no
+#: debug checks, no output.
+_LP_OPTIONS = _highs_options(
+    presolve="on",
+    simplex_strategy=_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+    highs_debug_level=_highs.HighsDebugLevel.kHighsDebugLevelNone,
+    log_to_console=False,
+    output_flag=False,
+)
+#: ``milp``'s options: HiGHS's defaults with the console log off.
+_ILP_OPTIONS = _highs_options(log_to_console=False)
 
 
 @dataclass(frozen=True)
@@ -92,6 +125,61 @@ def build_time_grid(instance: Instance, cmax_estimate: float) -> np.ndarray:
         raise ValueError(f"invalid C*max estimate {cmax_estimate}")
     K = max(0, int(math.floor(math.log2(cmax_estimate / tmin))))
     return np.array([cmax_estimate / 2 ** (K - j) for j in range(K + 2)])
+
+
+def solve_highs(
+    c: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    rhs: np.ndarray,
+    *,
+    integral: bool = False,
+) -> tuple[float, np.ndarray]:
+    """Minimise ``c @ x`` subject to ``A @ x <= rhs`` and ``0 <= x <= 1``.
+
+    ``A`` is given column-wise (CSC): the rows of column ``v`` are
+    ``indices[indptr[v]:indptr[v+1]]``, with values from ``data``.  The
+    model goes to HiGHS as ``linprog(method="highs")`` hands it over, with
+    the same options; ``integral=True`` makes every column integer and
+    takes ``milp``'s options instead.  Returns the optimal objective and
+    ``x``.
+
+    Raises
+    ------
+    SolverError
+        HiGHS did not report an optimal model status.
+    """
+    num_col, num_row = c.size, rhs.size
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = num_row
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = [0.0] * num_col
+    lp.col_upper_ = [1.0] * num_col
+    lp.row_lower_ = [-np.inf] * num_row
+    lp.row_upper_ = rhs.tolist()
+    matrix = lp.a_matrix_
+    matrix.num_col_ = num_col
+    matrix.num_row_ = num_row
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.start_ = indptr.tolist()
+    matrix.index_ = indices.tolist()
+    matrix.value_ = data.tolist()
+    if integral:
+        lp.integrality_ = [_highs.HighsVarType.kInteger] * num_col
+
+    highs = _highs._Highs()
+    highs.passOptions(_ILP_OPTIONS if integral else _LP_OPTIONS)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise SolverError(
+            f"HiGHS {'MILP' if integral else 'LP'} failed: model status "
+            f"{highs.modelStatusToString(status)}"
+        )
+    return highs.getInfo().objective_function_value, np.array(highs.getSolution().col_value)
 
 
 def minsum_lower_bound(
@@ -137,60 +225,37 @@ def minsum_lower_bound(
     # S[i, j]: minimal area of task i if it ends by the interval's upper
     # boundary; the open last interval uses the unconstrained minimum.
     # fastest[i, j]: the fastest duration among allotments meeting the same
-    # deadline (drives the refined objective coefficients).
-    S = np.empty((n, J))
-    fastest = np.empty((n, J))
-    for j in range(J - 1):
-        S[:, j] = minimal_area_allotments(tm, b[j + 1])
-        fastest[:, j] = np.where(tm <= b[j + 1], tm, np.inf).min(axis=1)
-    ks = np.arange(1, m + 1, dtype=np.float64)
-    S[:, J - 1] = (tm * ks).min(axis=1)
-    fastest[:, J - 1] = tm.min(axis=1)
+    # deadline (drives the refined objective coefficients).  One pass over
+    # the time matrix: each p_i(k) is filed under cell (i, j) of the first
+    # interval j whose upper boundary it meets (J - 1, the open one, if
+    # none), and a running min along the intervals adds it to every later
+    # one.  A min is exact, so this equals a masked min per interval.
+    cell = (np.searchsorted(b[1:], tm) + J * np.arange(n)[:, None]).ravel()
+    S = np.full(n * J, np.inf)
+    fastest = np.full(n * J, np.inf)
+    np.minimum.at(S, cell, (tm * np.arange(1, m + 1, dtype=np.float64)).ravel())
+    np.minimum.at(fastest, cell, tm.ravel())
+    S = np.minimum.accumulate(S.reshape(n, J), axis=1)
+    fastest = np.minimum.accumulate(fastest.reshape(n, J), axis=1)
 
-    allowed = np.isfinite(S)
     # Variable layout: one variable per allowed pair, row-major over (i, j).
-    ii, jj = np.nonzero(allowed)
-    n_vars = ii.size
-    var_index = np.full((n, J), -1, dtype=np.int64)
-    var_index[ii, jj] = np.arange(n_vars)
-
+    ii, jj = np.nonzero(np.isfinite(S))
     c = weights[ii] * np.maximum(b[jj], fastest[ii, jj])
 
-    # Coverage: -sum_j x_{i,j} <= -1 for each task (row i).
-    # Surface: for each bounded interval j, cumulative area <= m * b_{j+1}
-    # (row n + j).  Its entries are the allowed pairs (i, l) with l <= j in
-    # interval-major order: the first prefix[j] entries of that list.
-    bounded = allowed[:, : J - 1]
-    ll, il = np.nonzero(bounded.T)
-    prefix = np.cumsum(bounded.sum(axis=0))
-    starts = np.cumsum(prefix) - prefix
-    pos = np.arange(prefix.sum()) - np.repeat(starts, prefix)
-    rows = np.concatenate([ii, n + np.repeat(np.arange(J - 1), prefix)])
-    cols = np.concatenate([np.arange(n_vars), var_index[il, ll][pos]])
-    vals = np.concatenate([np.full(n_vars, -1.0), S[il, ll][pos]])
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(n + J - 1, n_vars)).tocsr()
+    # Constraint matrix, column-wise.  Rows: coverage -sum_j x_{i,j} <= -1
+    # for each task (row i); surface, for each bounded interval l,
+    # cumulative area <= m * b_{l+1} (row n + l).  Column (i, j) holds -1 in
+    # row i, then S[i, j] in rows n + j .. n + J - 2: an interval counts
+    # toward its own surface and every later one.  Slot 0 of a column is
+    # the coverage row and slot s >= 1 the surface row n + s - 1, so row
+    # indices ascend within each column.
+    v, s = np.nonzero((np.arange(J) > jj[:, None]) | (np.arange(J) == 0))
+    indptr = np.concatenate([[0], np.cumsum(J - jj)])
+    indices = np.where(s == 0, ii[v], n - 1 + s)
+    data = np.where(s == 0, -1.0, S[ii, jj][v])
     rhs = np.concatenate([np.full(n, -1.0), m * b[1:]])
 
-    if integral:
-        res = milp(
-            c=c,
-            constraints=LinearConstraint(A, -np.inf, rhs),
-            integrality=np.ones(n_vars),
-            bounds=Bounds(0, 1),
-        )
-        if not res.success:  # pragma: no cover - solver hiccup
-            raise SolverError(f"MILP failed: {res.message}")
-    else:
-        res = linprog(
-            c,
-            A_ub=A,
-            b_ub=rhs,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-        if not res.success:  # pragma: no cover - solver hiccup
-            raise SolverError(f"LP failed: {res.message}")
-
+    value, xs = solve_highs(c, indptr, indices, data, rhs, integral=integral)
     x = np.zeros((n, J))
-    x[ii, jj] = res.x
-    return MinsumBound(value=float(res.fun), boundaries=b, x=x, integral=integral)
+    x[ii, jj] = xs
+    return MinsumBound(value=value, boundaries=b, x=x, integral=integral)

@@ -14,7 +14,11 @@ Two selection rules recur throughout the paper:
 
 Both come in scalar (one task) and vectorised (whole instance) flavours; the
 vectorised forms operate on the ``(n, m)`` processing-time matrix exposed by
-:class:`repro.core.instance.Instance` and are the hot path of the LP bound.
+:class:`repro.core.instance.Instance`.  DEMT's batch selection calls
+:func:`minimal_allotments`; :func:`minimal_area_allotments` is the reference
+the dual-approximation sweep kernel and the LP bound's tests compare
+against (the bound itself takes ``S_{i,j}`` for every interval from one
+pass over the matrix, in :mod:`repro.bounds.minsum_lp`).
 """
 
 from __future__ import annotations

@@ -145,15 +145,14 @@ class Instance:
         if validate:
             if np.isnan(times_matrix).any():
                 raise InvalidInstanceError("times_matrix contains NaN")
-            finite = np.isfinite(times_matrix)
-            bad_rows = np.flatnonzero(~finite.any(axis=1))
+            if (times_matrix <= 0).any():  # -inf included
+                raise InvalidInstanceError("processing times must be strictly positive")
+            bad_rows = np.flatnonzero(~np.isfinite(times_matrix).any(axis=1))
             if bad_rows.size:
                 raise InvalidInstanceError(
                     f"tasks {task_ids[bad_rows[:5]].tolist()} have no feasible "
                     f"allotment within m={m} processors"
                 )
-            if (times_matrix[finite] <= 0).any():
-                raise InvalidInstanceError("processing times must be strictly positive")
             if not np.isfinite(weights).all() or (weights <= 0).any():
                 raise InvalidInstanceError("weights must be positive finite numbers")
             if not np.isfinite(releases).all() or (releases < 0).any():

@@ -69,14 +69,13 @@ class MoldableTask:
             )
         if np.isnan(arr).any():
             raise InvalidTaskError(f"task {task_id}: processing times contain NaN")
-        finite = np.isfinite(arr)
-        if not finite.any():
-            raise InvalidTaskError(
-                f"task {task_id}: no finite processing time (task can never run)"
-            )
-        if (arr[finite] <= 0).any():
+        if (arr <= 0).any():  # -inf included
             raise InvalidTaskError(
                 f"task {task_id}: processing times must be strictly positive"
+            )
+        if not np.isfinite(arr).any():
+            raise InvalidTaskError(
+                f"task {task_id}: no finite processing time (task can never run)"
             )
         if not np.isfinite(weight) or weight <= 0:
             raise InvalidTaskError(

@@ -1,13 +1,18 @@
 """Unit + property tests for the LP-relaxation minsum lower bound.
 
-Besides the bound's own properties, two checks pin its assembly:
+Besides the bound's own properties, three checks pin its assembly and
+solve.  All capture the model where the bound hands it to
+``minsum_lp.solve_highs`` (the ``solved_models`` fixture):
 
 * **Goldens** — value, interval boundaries and a sha256 over the model
   handed to the solver, on a frozen corpus, compared with ``==`` against
   ``tests/data/minsum_lp_goldens.json``;
 * **Reference assembly** — the per-entry loop assembler the columnar one
   replaced is kept below as an oracle; the captured ``c``, ``b_ub`` and
-  CSR arrays must equal it exactly.
+  CSR arrays must equal it exactly;
+* **Solver equivalence** — ``solve_highs`` must return the objective and
+  ``x`` of scipy's ``linprog(method="highs")`` (``milp`` for the ILP) on
+  the same model, bit for bit.
 
 Regenerate the goldens only for intentional changes:
 ``PYTHONPATH=src python tests/data/make_goldens.py``.
@@ -25,14 +30,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import repro.bounds.minsum_lp as minsum_lp
 from repro.algorithms.demt import schedule_demt
 from repro.algorithms.dual_approx import dual_approximation
-from repro.bounds.minsum_lp import build_time_grid, minsum_lower_bound
+from repro.bounds.minsum_lp import build_time_grid, minsum_lower_bound, solve_highs
 from repro.core.allotment import minimal_area_allotments
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask
+from repro.exceptions import SolverError
 from repro.utils.rng import derive_rng
 from repro.workloads.generator import generate_workload
 from repro.workloads.trace import MOLDABILITY_MODELS, load_trace, trace_instance
@@ -167,28 +174,24 @@ class TestMinsumBound:
 
 @pytest.fixture
 def solved_models(monkeypatch):
-    """Record every model handed to ``linprog``/``milp`` as ``(c, A, b_ub)``
-    (A in CSR form), forwarding to the real solver."""
+    """Record every model handed to ``solve_highs`` as ``(c, A, b_ub)``
+    (A in the CSC form the solver gets), forwarding to the real solver."""
     models: list[tuple] = []
-    real_linprog, real_milp = minsum_lp.linprog, minsum_lp.milp
+    real_solve = minsum_lp.solve_highs
 
-    def linprog(c, **kwargs):
-        models.append((c, sparse.csr_matrix(kwargs["A_ub"]), kwargs["b_ub"]))
-        return real_linprog(c, **kwargs)
+    def solve_highs(c, indptr, indices, data, rhs, *, integral=False):
+        A = sparse.csc_matrix((data, indices, indptr), shape=(rhs.size, c.size))
+        models.append((c, A, rhs))
+        return real_solve(c, indptr, indices, data, rhs, integral=integral)
 
-    def milp(c, **kwargs):
-        cons = kwargs["constraints"]
-        models.append((c, sparse.csr_matrix(cons.A), cons.ub))
-        return real_milp(c, **kwargs)
-
-    monkeypatch.setattr(minsum_lp, "linprog", linprog)
-    monkeypatch.setattr(minsum_lp, "milp", milp)
+    monkeypatch.setattr(minsum_lp, "solve_highs", solve_highs)
     return models
 
 
 def _model_sha256(c, A, b_ub) -> str:
     """The model digest of ``make_goldens.py``: ``c``, ``b_ub`` and the CSR
-    arrays, index arrays as int64."""
+    arrays of ``A``, index arrays as int64."""
+    A = sparse.csr_matrix(A)
     h = hashlib.sha256()
     for arr in (
         c,
@@ -314,6 +317,8 @@ def _assert_model_matches_loops(inst, cmax_estimate, models, **kwargs):
     want = _loop_model(inst, cmax_estimate)
     for name, g, w in zip(("c", "A", "b_ub"), got, want):
         if name == "A":
+            assert g.has_canonical_format  # row indices ascend in each column
+            g = g.tocsr()
             assert g.shape == w.shape
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(g, part), getattr(w, part)), part
@@ -381,3 +386,72 @@ class TestColumnarAssembly:
             inst, dual_approximation(inst).lam, solved_models, integral=True
         )
         assert res.integral
+
+
+def _scipy_solve(c, A, b_ub, integral):
+    """The same model through scipy's public API: ``linprog(method="highs")``
+    for the LP, ``milp`` with every column integer for the ILP."""
+    if integral:
+        res = milp(
+            c,
+            constraints=LinearConstraint(A, -np.inf, b_ub),
+            integrality=np.ones(c.size),
+            bounds=Bounds(0, 1),
+        )
+    else:
+        res = linprog(c, A_ub=A, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
+    assert res.success, res.message
+    return res.fun, res.x
+
+
+class TestSolveHighsMatchesScipy:
+    """``solve_highs`` returns the objective and ``x`` that ``linprog`` and
+    ``milp`` return on the same model, bit for bit.  A scipy whose
+    ``_highspy`` changes fails here instead of moving a bound."""
+
+    @staticmethod
+    def _check(inst, models, integral=False):
+        res = minsum_lower_bound(inst, dual_approximation(inst).lam, integral=integral)
+        ((c, A, b_ub),) = models
+        value, x = solve_highs(c, A.indptr, A.indices, A.data, b_ub, integral=integral)
+        want_value, want_x = _scipy_solve(c, A, b_ub, integral)
+        assert value == want_value == res.value
+        assert np.array_equal(x, want_x)
+
+    @pytest.mark.parametrize("n", (25, 137))
+    @pytest.mark.parametrize("m", (1, 8, 64, 200))
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_generated_families(self, kind, m, n, solved_models):
+        inst = generate_workload(kind, n=n, m=m, seed=derive_rng(27, kind, n, m))
+        self._check(inst, solved_models)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [c for c in GOLDENS if c["model"] or c["integral"]],
+        ids=lambda c: f"{c['source']}-{c['model'] or 'ilp'}",
+    )
+    def test_trace_fixtures_and_ilp_cells(self, cell, solved_models):
+        self._check(_golden_instance(cell), solved_models, integral=cell["integral"])
+
+
+class TestSolverError:
+    # Two columns, a coverage row -x_0 - x_1 <= -1 and a surface row
+    # x_0 + x_1 <= rhs[1]: feasible at rhs[1] = 1.5, infeasible at 1/2.
+    MODEL = (
+        np.array([1.0, 2.0]),
+        np.array([0, 2, 4]),
+        np.array([0, 1, 0, 1]),
+        np.array([-1.0, 1.0, -1.0, 1.0]),
+    )
+
+    @pytest.mark.parametrize("integral", (False, True))
+    def test_feasible_model_solves(self, integral):
+        value, x = solve_highs(*self.MODEL, np.array([-1.0, 1.5]), integral=integral)
+        assert value == 1.0
+        assert x.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("integral", (False, True))
+    def test_infeasible_model_names_the_model_status(self, integral):
+        kind = "MILP" if integral else "LP"
+        with pytest.raises(SolverError, match=f"HiGHS {kind} failed: model status Infeasible"):
+            solve_highs(*self.MODEL, np.array([-1.0, 0.5]), integral=integral)

@@ -37,6 +37,14 @@ class TestConstruction:
         with pytest.raises(InvalidInstanceError, match="no feasible allotment"):
             Instance([t], 2)
 
+    @pytest.mark.parametrize(
+        "row", [[2.0, -np.inf], [-np.inf, np.inf], [-np.inf, -np.inf]]
+    )
+    def test_from_arrays_rejects_negative_infinity(self, row):
+        times = np.array([[3.0, 2.0], row])
+        with pytest.raises(InvalidInstanceError, match="strictly positive"):
+            Instance.from_arrays(times)
+
     def test_empty_instance_allowed(self):
         inst = Instance([], 4)
         assert inst.n == 0

@@ -53,6 +53,13 @@ class TestConstruction:
         with pytest.raises(InvalidTaskError):
             MoldableTask(0, [-1.0])
 
+    @pytest.mark.parametrize(
+        "times", [[-np.inf], [2.0, -np.inf], [-np.inf, np.inf], [np.inf, -np.inf]]
+    )
+    def test_negative_infinite_time_rejected(self, times):
+        with pytest.raises(InvalidTaskError, match="strictly positive"):
+            MoldableTask(0, times)
+
     @pytest.mark.parametrize("w", [0.0, -2.0, float("nan"), float("inf")])
     def test_bad_weight_rejected(self, w):
         with pytest.raises(InvalidTaskError):

@@ -394,28 +394,26 @@ MINSUM_LP_CELLS = (
 
 @contextmanager
 def captured_lp_models():
-    """Patch the solver entry points of :mod:`repro.bounds.minsum_lp` with
-    recorders that forward to the real ``linprog``/``milp``; yields the
-    list of solved models as ``(c, A, b_ub)``."""
+    """Patch :func:`repro.bounds.minsum_lp.solve_highs` with a recorder that
+    forwards to the real solver; yields the list of solved models as
+    ``(c, A, b_ub)``, ``A`` in the CSC form the solver gets."""
+    from scipy import sparse
+
     import repro.bounds.minsum_lp as lp
 
     models: list[tuple] = []
-    real_linprog, real_milp = lp.linprog, lp.milp
+    real_solve = lp.solve_highs
 
-    def linprog(c, **kwargs):
-        models.append((c, kwargs["A_ub"], kwargs["b_ub"]))
-        return real_linprog(c, **kwargs)
+    def solve_highs(c, indptr, indices, data, rhs, *, integral=False):
+        A = sparse.csc_matrix((data, indices, indptr), shape=(rhs.size, c.size))
+        models.append((c, A, rhs))
+        return real_solve(c, indptr, indices, data, rhs, integral=integral)
 
-    def milp(c, **kwargs):
-        cons = kwargs["constraints"]
-        models.append((c, cons.A, cons.ub))
-        return real_milp(c, **kwargs)
-
-    lp.linprog, lp.milp = linprog, milp
+    lp.solve_highs = solve_highs
     try:
         yield models
     finally:
-        lp.linprog, lp.milp = real_linprog, real_milp
+        lp.solve_highs = real_solve
 
 
 def lp_model_sha256(c, A, b_ub) -> str:
