@@ -28,17 +28,20 @@ bound):
    value ``W*``; ``W* > m λ`` certifies infeasibility.
 
 Search: starting from the closed-form floor ``max(max_i min_k p_i(k),
-W_min / m)``, double until a guess is accepted, then bisect the bracket
-until it is within ``rel_tol`` — one ``λ`` at a time, exactly the probe
-sequence of the seed search (``reference_dual_approximation``).  Each
-probe is one compiled sweep over the time matrix
-(:func:`repro.kernels.dual_sweep_core`: minimal allotments and areas under
-``λ`` and ``λ/2``) plus a value-only decision (:func:`_decide`) that
-settles most guesses with two sums and runs the min-work DP
-(:func:`repro.kernels.knapsack_min_work_value_core`) otherwise.  The
-accepted ``λ*`` is checked once more with the reconstructing DP
-(:func:`repro.kernels.knapsack_min_work_core`) to get the shelf
-assignment.
+W_min / m)`` (the instance's cached row floors, one compiled pass of
+:func:`repro.kernels.row_floor_core`), double until a guess is accepted,
+then bisect the bracket until it is within ``rel_tol`` — one ``λ`` at a
+time, exactly the probe sequence of the seed search
+(``reference_dual_approximation``).  Each probe is one compiled sweep
+over the time matrix (:func:`repro.kernels.dual_sweep_core`: minimal
+allotments and areas under ``λ`` and ``λ/2``) plus a value-only decision
+(:func:`_decide`) that settles most guesses with two sums and runs the
+min-work DP (:func:`repro.kernels.knapsack_min_work_value_core`)
+otherwise.  The search keeps the sweep of its last accepted probe, so
+the accepted ``λ*`` is never swept twice: its shelf assignment is
+reconstructed from that probe's sweep by the reconstructing DP
+(:func:`repro.kernels.knapsack_min_work_core`), through the same helper
+as :func:`feasibility_check`.
 
 Construction for an accepted ``λ``: big-shelf tasks start at time 0 with
 their minimal allotments (their widths fit in ``m`` by the knapsack); the
@@ -83,6 +86,13 @@ __all__ = ["DualApproxResult", "dual_approximation", "feasibility_check"]
 #:   decisions clear of the band are taken without it.
 _BUDGET_EPS = TIME_EPS / 1000.0
 _SUM_GUARD = TIME_EPS
+
+#: One λ's sweep: ``(g_big, g_small, work_big, work_small)`` of
+#: :func:`repro.kernels.dual_sweep_core`.
+_Sweep = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: :func:`feasibility_check`'s answer for a rejected ``λ``.
+_REJECTED = (False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -156,18 +166,27 @@ def feasibility_check(instance: Instance, lam: float) -> tuple[bool, np.ndarray,
     ``lam`` the arrays are empty.
     """
     if lam <= 0:
-        return False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    m = instance.m
-    # g_big = 0: cannot meet lam at all; g_small = 0: cannot be a small task.
-    g_big, g_small, work_big, work_small = kernels.dual_sweep_core(
-        instance.times_matrix, lam
-    )
-    if (g_big == 0).any():
-        return False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
+        return _REJECTED
+    return _shelves(instance.m, lam, *kernels.dual_sweep_core(instance.times_matrix, lam))
 
+
+def _shelves(
+    m: int,
+    lam: float,
+    g_big: np.ndarray,
+    g_small: np.ndarray,
+    work_big: np.ndarray,
+    work_small: np.ndarray,
+) -> tuple[bool, np.ndarray, np.ndarray]:
+    """:func:`feasibility_check` from one sweep of ``lam`` (the four
+    vectors of :func:`repro.kernels.dual_sweep_core`): the reconstructing
+    min-work DP gives the big-shelf assignment and its total work."""
+    # g_big = 0: cannot meet lam at all; g_small = 0: cannot be a small task.
+    if (g_big == 0).any():
+        return _REJECTED
     in_big, total = knapsack_min_work(work_a=work_big, cost_a=g_big, work_b=work_small, m=m)
     if not np.isfinite(total) or total > m * lam * (1.0 + _BUDGET_EPS):
-        return False, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
+        return _REJECTED
     allot = np.where(in_big, g_big, g_small).astype(np.int64)
     return True, in_big, allot
 
@@ -183,7 +202,7 @@ def _decide(
 
     Same tests, same dynamic-program float sequence as
     :func:`feasibility_check` — the binary search probes through this and
-    reconstructs once at the accepted ``λ*``.
+    reconstructs once at the accepted ``λ*``, from that probe's sweep.
     """
     if lam <= 0:
         return False
@@ -211,8 +230,13 @@ def _decide(
     return np.isfinite(total) and total <= budget
 
 
-def _probe(instance: Instance, lam: float) -> bool:
-    """Value-only feasibility of one guess: one sweep, one decision."""
+def _probe(instance: Instance, lam: float) -> _Sweep | None:
+    """Value-only feasibility of one guess: one sweep, one decision.
+
+    Returns the sweep of an accepted ``lam`` (the four vectors of
+    :func:`repro.kernels.dual_sweep_core`), from which the search
+    reconstructs the shelves of its ``λ*``; ``None`` when rejected.
+    """
     state = obs.ACTIVE
     if state is None:
         return _probe_impl(instance, lam)
@@ -221,9 +245,10 @@ def _probe(instance: Instance, lam: float) -> bool:
         return _probe_impl(instance, lam)
 
 
-def _probe_impl(instance: Instance, lam: float) -> bool:
-    g_big, _, work_big, work_small = kernels.dual_sweep_core(instance.times_matrix, lam)
-    return _decide(instance.m, lam, g_big, work_big, work_small)
+def _probe_impl(instance: Instance, lam: float) -> _Sweep | None:
+    sweep = kernels.dual_sweep_core(instance.times_matrix, lam)
+    g_big, _, work_big, work_small = sweep
+    return sweep if _decide(instance.m, lam, g_big, work_big, work_small) else None
 
 
 def dual_approximation(
@@ -270,18 +295,21 @@ def _dual_approximation_impl(
     # give the search a tight floor for free.
     lo = max(instance.max_min_time, instance.min_total_work / instance.m)
 
-    # Probe with the value-only test; the accepted λ* is rechecked once in
-    # full below to reconstruct the shelf assignment (deterministic, so
-    # this splits the seed's combined probe without changing any outcome).
-    # The probes are the seed search's, in its order.
-    if _probe(instance, lo):
+    # Probe with the value-only test, keeping the sweep of the last
+    # accepted guess; the shelf assignment of λ* is reconstructed from it
+    # below (deterministic, so this splits the seed's combined probe
+    # without changing any outcome).  The probes are the seed search's,
+    # in its order.
+    sweep = _probe(instance, lo)
+    if sweep is not None:
         # The closed-form bound itself passes the test: accept it directly
         # (searching below `lo` is pointless — it is already certified).
         lam = lo
     else:
         hi = lo * 2.0
         for _ in range(max_iter):
-            if _probe(instance, hi):
+            sweep = _probe(instance, hi)
+            if sweep is not None:
                 break
             lo = hi
             hi *= 2.0
@@ -291,13 +319,14 @@ def _dual_approximation_impl(
             if hi - lo <= rel_tol * lo:
                 break
             mid = 0.5 * (lo + hi)
-            if _probe(instance, mid):
-                hi = mid
+            accepted = _probe(instance, mid)
+            if accepted is not None:
+                hi, sweep = mid, accepted
             else:
                 lo = mid
         lam = hi
 
-    feasible, in_big, allot = feasibility_check(instance, lam)
+    feasible, in_big, allot = _shelves(instance.m, lam, *sweep)
     if not feasible:  # pragma: no cover - probe and full check agree
         raise SchedulingError(f"accepted lambda {lam} failed the full check")
 

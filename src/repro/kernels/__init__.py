@@ -3,7 +3,8 @@
 The inner loops that dominate DEMT end-to-end time — the max-weight
 knapsack DP + reconstruction, the binary-choice min-work DP of the dual
 approximation (value only, and with reconstruction), the dual
-approximation's one-λ sweep over the time matrix, and the Graham
+approximation's one-λ sweep over the time matrix and its closed-form
+floors (every row's smallest time and area, in one pass), and the Graham
 list-scheduling event loop — two event loops of the on-line
 simulator — the FCFS / EASY-backfilling dispatch of the ``fcfs`` and
 ``fcfs-backfill`` policies, and the crash-and-restart execution of one
@@ -66,6 +67,7 @@ __all__ = [
     "knapsack_min_work_value_core",
     "knapsack_min_work_core",
     "dual_sweep_core",
+    "row_floor_core",
     "graham_starts_core",
     "fcfs_starts_core",
     "faulty_batch_core",
@@ -123,6 +125,12 @@ def _smoke(mod) -> None:
     got_s = mod.dual_sweep_core(times, 4.0)
     if any(a.tobytes() != b.tobytes() for a, b in zip(got_s, ref_s)):
         raise ImportError(f"{mod.name} dual_sweep mismatch: {got_s} != {ref_s}")
+    # The same rows' floors at widths 3 and 2, and a row holding a NaN.
+    for t in (times, times[:, :2], np.array([[3.0, np.nan, 1.0, 2.0]])):
+        ref_m = _numpy_backend.row_floor_core(t)
+        got_m = mod.row_floor_core(t)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(got_m, ref_m)):
+            raise ImportError(f"{mod.name} row_floor mismatch: {got_m} != {ref_m}")
 
     ga = np.array([2, 1, 3, 1, 2], dtype=np.int64)
     gd = np.array([3.0, 5.0, 1.0, 1.0, 2.0], dtype=np.float64)
@@ -322,6 +330,14 @@ def dual_sweep_core(times_matrix, lam):
     areas under ``lam`` and ``lam / 2``).  Not tallied here: its caller,
     the dual approximation's probe, counts and times every call."""
     return ACTIVE.dual_sweep_core(times_matrix, lam)
+
+
+def row_floor_core(times_matrix):
+    """Dispatch: every row's smallest time and smallest area ``k * p(k)``
+    (the dual approximation's closed-form floors).  Not tallied: it runs
+    once per instance, where :class:`~repro.core.instance.Instance`
+    caches its floors."""
+    return ACTIVE.row_floor_core(times_matrix)
 
 
 def graham_starts_core(allotments, durations, m, start_time, cutoff):

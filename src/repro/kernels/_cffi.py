@@ -19,6 +19,9 @@ Where the order could matter:
 * the dual sweep forms each area as ``(double)k * p`` in the loop, the
   same IEEE product as ``times_matrix * arange(1, m + 1)``; comparisons
   and minima are exact, so it needs no areas matrix;
+* the row floors form the same products and keep two running minima per
+  row (even and odd columns), which exactness makes ``np.min``'s value;
+  a row holding a NaN returns its first NaN, as ``np.min`` propagates it;
 * the Graham heap orders by end time only; Python's ``(end, allot)``
   tuple heap breaks end-time ties by allotment, but tied completions are
   always drained together before the next placement, so the freed-count
@@ -87,6 +90,7 @@ __all__ = [
     "knapsack_min_work_value_core",
     "knapsack_min_work_core",
     "dual_sweep_core",
+    "row_floor_core",
     "graham_starts_core",
     "fcfs_starts_core",
     "faulty_batch_core",
@@ -109,6 +113,8 @@ int repro_min_work(const double *work_a, const int64_t *cost_a,
 void repro_dual_sweep(const double *times, int64_t n, int64_t m, double lam,
                       int64_t *g_big, int64_t *g_small, double *work_big,
                       double *work_small);
+void repro_row_floor(const double *times, int64_t n, int64_t m,
+                     double *min_time, double *min_area);
 int64_t repro_graham(const int64_t *allot, const double *dur, int64_t n,
                      int64_t m, double start_time, double cutoff,
                      int use_cutoff, double *starts, int64_t *order);
@@ -338,6 +344,48 @@ void repro_dual_sweep(const double *times, int64_t n, int64_t m, double lam,
         g_small[i] = gs;
         work_big[i] = wb;
         work_small[i] = ws;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Row floors: one pass over the row-major (n, m >= 1) time matrix     */
+/* gives every row's smallest time and smallest area k * p(k), the     */
+/* same IEEE product as times_matrix * arange(1, m + 1).  Minima are   */
+/* exact, so two accumulators per floor (even and odd k) give np.min's */
+/* value; a row holding a NaN gets its first NaN (and that NaN's area) */
+/* instead, as np.min propagates it.                                   */
+/* ------------------------------------------------------------------ */
+void repro_row_floor(const double *times, int64_t n, int64_t m,
+                     double *min_time, double *min_area)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = times + i * m;
+        double t0 = row[0], a0 = row[0], t1 = row[0], a1 = row[0];
+        int nan = row[0] != row[0];
+        int64_t k = 1;
+        for (; k + 1 < m; k += 2) {
+            double p = row[k], q = row[k + 1];
+            double ap = (double)(k + 1) * p, aq = (double)(k + 2) * q;
+            t0 = p < t0 ? p : t0;
+            a0 = ap < a0 ? ap : a0;
+            t1 = q < t1 ? q : t1;
+            a1 = aq < a1 ? aq : a1;
+            nan |= (p != p) | (q != q);
+        }
+        if (k < m) {
+            double p = row[k], ap = (double)(k + 1) * p;
+            t0 = p < t0 ? p : t0;
+            a0 = ap < a0 ? ap : a0;
+            nan |= p != p;
+        }
+        if (nan) {
+            for (k = 0; row[k] == row[k]; k++)
+                ;
+            t0 = t1 = row[k];
+            a0 = a1 = (double)(k + 1) * row[k];
+        }
+        min_time[i] = t1 < t0 ? t1 : t0;
+        min_area[i] = a1 < a0 ? a1 : a0;
     }
 }
 
@@ -1242,6 +1290,23 @@ def dual_sweep_core(
         _ptr("double *", work_small),
     )
     return g_big, g_small, work_big, work_small
+
+
+def row_floor_core(times_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    tm = _f64(times_matrix)
+    n, m = tm.shape
+    if m == 0:  # np.min has no identity to return
+        raise ValueError("row_floor_core needs at least one column")
+    min_time = np.empty(n, dtype=np.float64)
+    min_area = np.empty(n, dtype=np.float64)
+    _lib.repro_row_floor(
+        _ptr("double *", tm),
+        n,
+        m,
+        _ptr("double *", min_time),
+        _ptr("double *", min_area),
+    )
+    return min_time, min_area
 
 
 def graham_starts_core(

@@ -39,6 +39,7 @@ __all__ = [
     "knapsack_min_work_value_core",
     "knapsack_min_work_core",
     "dual_sweep_core",
+    "row_floor_core",
     "graham_starts_core",
     "fcfs_starts_core",
     "faulty_batch_core",
@@ -215,6 +216,17 @@ def dual_sweep_core(
         out.append((allot.astype(np.int64), work))
     (g_big, work_big), (g_small, work_small) = out
     return g_big, g_small, work_big, work_small
+
+
+def row_floor_core(times_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's smallest time and smallest area ``k * p(k)``.
+
+    Returns ``(row_min_time, row_min_area)`` of the ``(n, m)`` time
+    matrix: the closed-form floors of the dual approximation.  Like
+    ``np.min``, raises :class:`ValueError` when ``m == 0``.
+    """
+    ks = np.arange(1, times_matrix.shape[1] + 1, dtype=np.float64)
+    return np.min(times_matrix, axis=1), np.min(times_matrix * ks, axis=1)
 
 
 def graham_starts_core(

@@ -51,7 +51,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from repro import kernels
-from repro.core.instance import Instance
+from repro.core.instance import Instance, all_distinct
 from repro.exceptions import ModelError
 from repro.utils.rng import derive_rng
 from repro.workloads.columnar import _downey_speedup_rows
@@ -673,7 +673,7 @@ def trace_instance(
     row numbers if a concatenated log repeats ids).
     """
     m = trace.resolve_m(m)
-    if trace.n and np.unique(trace.job_ids).size == trace.n:
+    if trace.n and all_distinct(trace.job_ids):
         task_ids = trace.job_ids
     else:
         task_ids = np.arange(trace.n, dtype=np.int64)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import kernels, obs
 from repro.algorithms import dual_approx, reference
 from repro.algorithms.dual_approx import (
     DualApproxResult,
@@ -329,6 +329,34 @@ class TestSearchPath:
         assert len(probes) == len(want)
         assert all(s.cat == "kernel" for s in probes)
         assert "dual.probe_batch" not in state.hists
+
+    @pytest.mark.parametrize("cell", GOLDENS, ids=GOLDEN_IDS)
+    def test_one_sweep_per_probe(self, cell):
+        """The accepted λ* is not swept again: its shelves come from the
+        sweep of the probe that accepted it."""
+        inst = dual_golden_instance(cell)
+        sweeps = decides = 0
+        sweep, decide = kernels.dual_sweep_core, dual_approx._decide
+
+        def count_sweep(*args):
+            nonlocal sweeps
+            sweeps += 1
+            return sweep(*args)
+
+        def count_decide(*args):
+            nonlocal decides
+            decides += 1
+            return decide(*args)
+
+        state = obs.enable(fresh=True)
+        try:
+            with mock.patch.object(kernels, "dual_sweep_core", count_sweep), \
+                    mock.patch.object(dual_approx, "_decide", count_decide):
+                res = dual_approximation(inst)
+        finally:
+            obs.disable()
+        assert res.lam == cell["lam"]
+        assert sweeps == decides == state.counters["dual.probes"] >= 1
 
     @pytest.mark.parametrize("cell", GOLDENS, ids=GOLDEN_IDS)
     def test_golden_cell_probes_the_reference_sequence(self, cell):

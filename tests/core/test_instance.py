@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask, rigid_task
 from repro.exceptions import InvalidInstanceError
@@ -26,6 +31,18 @@ class TestConstruction:
         t = MoldableTask(0, [1.0])
         with pytest.raises(InvalidInstanceError, match="duplicate"):
             Instance([t, MoldableTask(0, [2.0])], 2)
+
+    @pytest.mark.parametrize(
+        "ids, unique",
+        [([5, 2, 9], True), ([9, 5, 2], True), ([5, 2, 5], False), ([2, 2, 7], False)],
+    )
+    def test_from_arrays_id_uniqueness(self, ids, unique):
+        times = np.ones((3, 2))
+        if unique:
+            assert Instance.from_arrays(times, task_ids=np.array(ids)).task_ids.tolist() == ids
+        else:
+            with pytest.raises(InvalidInstanceError, match="duplicate"):
+                Instance.from_arrays(times, task_ids=np.array(ids))
 
     def test_zero_processors_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -98,6 +115,78 @@ class TestDerived:
         t = MoldableTask(0, [1.0], release=3.0)
         assert not Instance([t], 1).is_offline()
         assert Instance([t], 1).max_release == 3.0
+
+
+@st.composite
+def _floor_task_vectors(draw):
+    """``(vectors, m)``: ragged vectors shorter and longer than ``m``,
+    rigid rows (one finite entry among ``+inf``) and non-monotone rows."""
+    m = draw(st.integers(1, 9))
+    vectors = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(["ragged", "rigid", "nonmonotone"]))
+        seq = draw(st.floats(0.5, 100.0))
+        if shape == "ragged":
+            alpha = draw(st.floats(0.0, 1.5))
+            times = [seq / k**alpha for k in range(1, draw(st.integers(1, m + 4)) + 1)]
+        elif shape == "rigid":
+            low = draw(st.integers(1, m))
+            times = [math.inf] * (low - 1) + [seq] + [math.inf] * draw(st.integers(0, 3))
+        else:
+            times = draw(
+                st.lists(st.one_of(st.just(math.inf), st.floats(0.5, 100.0)),
+                         min_size=m, max_size=m)
+            )
+            times[draw(st.integers(0, m - 1))] = seq
+        vectors.append(times)
+    return vectors, m
+
+
+class TestFloors:
+    """``tmin``, ``min_times``, ``max_min_time`` and ``min_total_work``
+    are, bit for bit, the NumPy reductions over the padded/truncated time
+    matrix (``min_times`` takes an object-backed task's minimum over its
+    full vector), on every kernel backend and on both representations."""
+
+    @given(_floor_task_vectors())
+    @settings(max_examples=150, deadline=None)
+    @example(([[4.0, 2.0, 1.0, 0.5], [3.0], [math.inf, 2.0]], 2))
+    @example(([[5.0], [2.0, 1.0], [3.0, math.inf]], 1))  # m = 1
+    def test_floors_are_the_numpy_reductions(self, case):
+        vectors, m = case
+        tm = np.array([(v + [math.inf] * m)[:m] for v in vectors], dtype=np.float64)
+        ks = np.arange(1, m + 1, dtype=np.float64)
+        row_min = np.min(tm, axis=1)
+        full_min = np.array([min(v) if len(v) > m else r for v, r in zip(vectors, row_min)])
+        before = kernels.backend_name()
+        try:
+            for backend in kernels.available_backend_names():
+                kernels.set_backend(backend)
+                tasks = [MoldableTask(i, v) for i, v in enumerate(vectors)]
+                for inst, min_times in (
+                    (Instance(tasks, m), full_min),
+                    (Instance.from_arrays(tm), row_min),
+                ):
+                    assert inst.times_matrix.tobytes() == tm.tobytes()
+                    assert inst.tmin == float(np.min(tm))
+                    assert inst.min_times.tolist() == min_times.tolist()
+                    assert inst.max_min_time == float(np.max(row_min))
+                    assert inst.min_total_work == float(np.min(tm * ks, axis=1).sum())
+        finally:
+            kernels.set_backend(before)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [Instance([], 3), Instance.from_arrays(np.empty((0, 3)))],
+        ids=["objects", "arrays"],
+    )
+    def test_empty_instance_floors(self, inst):
+        with pytest.raises(ValueError):
+            inst.tmin
+        with pytest.raises(ValueError):
+            inst.max_min_time
+        assert inst.min_total_work == 0.0
+        assert inst.min_times.shape == (0,)
 
 
 class TestRestrict:

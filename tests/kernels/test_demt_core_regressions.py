@@ -128,10 +128,19 @@ class TestProbes:
             res.lam * f
             for f in (0.25, 0.5, 0.9, 0.999999, 1.0, 1.000001, 1.5, 4.0)
         ]
-        probed = [dual_approx._probe(inst, lam) for lam in lams]
-        full = [feasibility_check(inst, lam)[0] for lam in lams]
-        assert probed == full
+        # A probe returns its sweep when it accepts, None when it rejects;
+        # the shelves rebuilt from an accepted sweep are the full check's.
+        sweeps = [dual_approx._probe(inst, lam) for lam in lams]
+        probed = [sweep is not None for sweep in sweeps]
+        full = [feasibility_check(inst, lam) for lam in lams]
+        assert probed == [ok for ok, _, _ in full]
+        for lam, sweep, (ok, in_big, allot) in zip(lams, sweeps, full):
+            if ok:
+                rebuilt = dual_approx._shelves(inst.m, lam, *sweep)
+                assert rebuilt[0]
+                assert rebuilt[1].tobytes() == in_big.tobytes()
+                assert rebuilt[2].tobytes() == allot.tobytes()
         # The accepted guess itself is feasible, the certified bound not
         # (unless the search accepted the closed-form floor).
         assert probed[lams.index(res.lam)]
-        assert res.lam == res.lower_bound or not dual_approx._probe(inst, res.lower_bound)
+        assert res.lam == res.lower_bound or dual_approx._probe(inst, res.lower_bound) is None

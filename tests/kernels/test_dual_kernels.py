@@ -1,11 +1,12 @@
-"""Differential suite for the dual approximation's two kernels.
+"""Differential suite for the dual approximation's three kernels.
 
-``dual_sweep_core`` (minimal allotments and minimal areas under ``λ`` and
-``λ/2`` in one pass over the time matrix) and ``knapsack_min_work_core``
-(the min-work DP with its reconstruction) must return the NumPy
-reference's bits on the compiled backend whenever it builds here, and
-the reference must agree with the scalar allotment functions and the
-seed DP of ``algorithms/reference.py``.
+``row_floor_core`` (every row's smallest time and smallest area, the
+search's closed-form floor), ``dual_sweep_core`` (minimal allotments and
+minimal areas under ``λ`` and ``λ/2`` in one pass over the time matrix)
+and ``knapsack_min_work_core`` (the min-work DP with its reconstruction)
+must return the NumPy reference's bits on the compiled backend whenever
+it builds here, and the reference must agree with the scalar allotment
+functions and the seed DP of ``algorithms/reference.py``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,52 @@ def test_dual_sweep_reads_non_contiguous_input():
         want = _sweep_bits(NUMPY.dual_sweep_core(np.ascontiguousarray(times), 6.0))
         for mod in (NUMPY, *OTHERS):
             assert _sweep_bits(mod.dual_sweep_core(times, 6.0)) == want, mod.name
+
+
+# --------------------------------------------------------------------- #
+# Row floors                                                            #
+# --------------------------------------------------------------------- #
+@st.composite
+def _floor_cases(draw):
+    """Odd and even widths (the C loop takes two columns a step), rows
+    of ``+inf``, and NaNs, which ``np.min`` propagates."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(0, 10))
+    cell = st.one_of(_time, st.just(math.nan))
+    rows = [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+    return np.array(rows, dtype=np.float64).reshape(n, m)
+
+
+@given(_floor_cases())
+@settings(max_examples=200, deadline=None)
+@example(np.empty((0, 3)))
+@example(np.array([[INF, INF, INF], [2.0, 0.5, 1.0]]))
+@example(np.array([[math.nan, 1.0, 2.0], [3.0, 0.5, math.nan], [1.0, math.nan, INF]]))
+@example(np.array([[3.0], [INF]]))  # m = 1
+def test_row_floor_backends(times):
+    ref = NUMPY.row_floor_core(times)
+    ks = np.arange(1, times.shape[1] + 1, dtype=np.float64)
+    want = (np.min(times, axis=1), np.min(times * ks, axis=1))
+    assert _sweep_bits(ref) == _sweep_bits(want)
+    for mod in OTHERS:
+        assert _sweep_bits(mod.row_floor_core(times)) == _sweep_bits(ref), mod.name
+
+
+def test_row_floor_reads_non_contiguous_input():
+    rng = np.random.default_rng(4)
+    base = rng.uniform(0.5, 20.0, size=(12, 9))
+    base[rng.random(base.shape) < 0.2] = INF
+    for times in (np.asfortranarray(base), base[:, ::2], base[::3], base[:, 1:]):
+        want = _sweep_bits(NUMPY.row_floor_core(np.ascontiguousarray(times)))
+        for mod in (NUMPY, *OTHERS):
+            assert _sweep_bits(mod.row_floor_core(times)) == want, mod.name
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_row_floor_needs_a_column(n):
+    for mod in (NUMPY, *OTHERS):
+        with pytest.raises(ValueError):
+            mod.row_floor_core(np.empty((n, 0)))
 
 
 # --------------------------------------------------------------------- #

@@ -36,13 +36,13 @@ pytestmark = pytest.mark.skipif(
 #: the middle third spans many OS timeslices; short enough to keep the
 #: suite fast.
 _MIN_CALL = 0.05
-#: The dual sweep is one pass over an ``(n, m)`` matrix, so a 50 ms call
-#: would need a ~150 MB input; its probe uses a 32 MB matrix and accepts a
-#: shorter call, and so does the SWF scan's 16 MB buffer (a held GIL
-#: still freezes the spinner for the whole call, and a released one lets
-#: it run through the middle third even when one CPU time-slices both
-#: threads).
-_MIN_CALL_FOR = {"dual_sweep": 0.005, "swf_scan": 0.01}
+#: The dual sweep and the row floors are one pass over an ``(n, m)``
+#: matrix, so a 50 ms call would need a ~150 MB input; their probes use
+#: 32 MB and 64 MB matrices and accept a shorter call, and so does the SWF
+#: scan's 16 MB buffer (a held GIL still freezes the spinner for the
+#: whole call, and a released one lets it run through the middle third
+#: even when one CPU time-slices both threads).
+_MIN_CALL_FOR = {"dual_sweep": 0.005, "row_floor": 0.005, "swf_scan": 0.01}
 
 
 def _knapsack_min_work_call(mod):
@@ -69,6 +69,12 @@ def _dual_sweep_call(mod):
     rng = np.random.default_rng(3)
     times = rng.uniform(1.0, 100.0, size=(4000, 1000))
     return lambda: mod.dual_sweep_core(times, 50.0)
+
+
+def _row_floor_call(mod):
+    rng = np.random.default_rng(19)
+    times = rng.uniform(1.0, 100.0, size=(8000, 1000))
+    return lambda: mod.row_floor_core(times)
 
 
 def _knapsack_select_call(mod):
@@ -136,6 +142,7 @@ _KERNEL_CALLS = {
     "min_work_value": _knapsack_min_work_call,
     "min_work": _knapsack_min_work_reconstruct_call,
     "dual_sweep": _dual_sweep_call,
+    "row_floor": _row_floor_call,
     "knapsack_select": _knapsack_select_call,
     "graham_starts": _graham_call,
     "fcfs_starts": _fcfs_call,

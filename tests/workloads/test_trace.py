@@ -420,6 +420,10 @@ class TestTraceInstance:
         inst = trace_instance(load_trace("7 0 0 1 1\n7 1 0 2 2\n"), m=4)
         assert inst.task_ids.tolist() == [0, 1]
 
+    def test_unique_job_ids_out_of_order_kept(self):
+        inst = trace_instance(load_trace("9 0 0 1 1\n2 1 0 2 2\n5 2 0 1 1\n"), m=4)
+        assert inst.task_ids.tolist() == [9, 2, 5]
+
     def test_empty_needs_m(self):
         with pytest.raises(ModelError):
             trace_instance(parse_trace([]))
